@@ -271,16 +271,10 @@ def fem_capacity(annulus, mesh_h: float = 0.02,
     if len(names) != 2:
         raise CapacityError(f"need exactly 2 boundary labels, got {names}")
     values = {names[0]: 0.0, names[1]: 1.0}
-    boundary = {tuple(sl) for sl in s.boundary_slots}
-    labeled = {}
-    import ast as _ast
-    for key, lbl in labels.items():
-        f, e = _ast.literal_eval(str(key))
-        labeled[(f, e)] = lbl
-    if boundary - set(labeled):
+    if set(s.boundary_slots) - set(labels):
         raise CapacityError("unlabeled boundary edges present")
     fixed: dict[int, float] = {}
-    for (f, e), lbl in labeled.items():
+    for (f, e), lbl in labels.items():
         for c in (e, (e + 1) % 3):
             fixed[s.vertex_of((f, c))] = values[lbl]
     tris = [tuple(s.vertex_of((f, c)) for c in range(3))
@@ -321,31 +315,16 @@ def fermi_chart_annulus(profile: CollarProfile, n_t: int = 96,
             quad = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
             for tri in ([quad[0], quad[1], quad[2]],
                         [quad[0], quad[2], quad[3]]):
-                ids = tuple(vid(a, b) for a, b in tri)
-                pts = [np.array(coord(a, b)) for a, b in tri]
-                tris.append(ids)
-                lengths.append(tuple(
-                    float(np.linalg.norm(pts[(k + 1) % 3] - pts[k]))
-                    for k in range(3)))
-    edge_map: dict[frozenset, list] = {}
-    for f, ids in enumerate(tris):
-        for e in range(3):
-            edge_map.setdefault(
-                frozenset((ids[e], ids[(e + 1) % 3])), []).append((f, e))
-    gluings = []
-    labels = {}
-    for pair in edge_map.values():
-        if len(pair) == 2:
-            (f, e), (f2, e2) = pair
-            flip = tris[f][e] != tris[f2][e2]
-            gluings.append((f, e, f2, e2, flip))
-        else:
-            ((f, e),) = pair
-            j_ids = {tris[f][e] % (n_s + 1), tris[f][(e + 1) % 3] % (n_s + 1)}
-            labels[str((f, e))] = "bottom" if j_ids == {0} else "top"
-    return _surface.ConeSurface(
-        [lengths[f] for f in range(len(tris))], gluings,
-        name="fermi_chart", marks={"boundary_labels": labels})
+                tris.append(tuple(vid(a, b) for a, b in tri))
+                # vertex ids wrap in t, so lengths come from face coordinates
+                lengths.append(_surface.side_lengths(
+                    [np.array(coord(a, b)) for a, b in tri]))
+    gluings, boundary = _surface.match_vertex_edges(tris)
+    # a boundary slot runs along sigma = -/+ half, at grid row j = 0 or n_s
+    labels = {(f, e): "bottom" if tris[f][e] % (n_s + 1) == 0 else "top"
+              for f, e in boundary}
+    return _surface.ConeSurface(lengths, gluings, name="fermi_chart",
+                                marks={"boundary_labels": labels})
 
 
 # -- separation certificate ---------------------------------------------
@@ -356,11 +335,18 @@ SEPARATION_LEVEL = 2.29
 def separation_certificate(p: SurfaceParameters | None = None,
                            tol: float = 1e-3,
                            include_fem: bool = False,
-                           mesh_check: bool = False) -> dict:
-    """Certify flat-collar capacity < 2.29 < hyperbolic-collar capacity."""
+                           mesh_check: bool = False,
+                           lower: CapacityEstimate | None = None) -> dict:
+    """Test flat-collar capacity < 2.29 < hyperbolic-collar capacity, each
+    margin above tol; `separated` records the outcome.
+
+    `lower` is the hyperbolic-collar width-integral bound when the caller
+    has already computed it (at its own quadrature tolerance).
+    """
     p = p or SurfaceParameters.paper()
     upper = flat_capacity_upper(p, mesh_check=mesh_check)
-    lower = muetzel_bound(hyperbolic_collar_profile())
+    if lower is None:
+        lower = muetzel_bound(hyperbolic_collar_profile())
     margin_upper = SEPARATION_LEVEL - upper.closed_form.value
     margin_lower = lower.value - SEPARATION_LEVEL
     ok = margin_upper > tol and margin_lower > tol
@@ -381,6 +367,4 @@ def separation_certificate(p: SurfaceParameters | None = None,
                            mesh_h=1.0)
         cert["fem_flat"] = flat.value
         cert["fem_hyperbolic"] = hyp.value
-    if not ok:
-        raise CapacityError(f"separation failed: {cert}")
     return cert

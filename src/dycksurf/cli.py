@@ -39,7 +39,6 @@ class RunConfig:
     mesh_h: float = 0.005
     tol: float = 1e-8
     budget: int = 400_000
-    seed: int = 0
     fmt: str = "json"
     out: str | None = None
 
@@ -93,14 +92,13 @@ def build_config(args) -> RunConfig:
         "mesh_h": getattr(args, "mesh_h", None),
         "tol": getattr(args, "tol", None),
         "budget": getattr(args, "budget", None),
-        "seed": getattr(args, "seed", None),
         "fmt": getattr(args, "format", None),
         "out": getattr(args, "out", None),
     }
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
-    for key in ("digits", "budget", "seed"):
+    for key in ("digits", "budget"):
         if key in values:
             values[key] = int(values[key])
     for key in ("lmax", "mesh_h", "tol"):
@@ -213,12 +211,11 @@ def cmd_systole(cfg: RunConfig, args) -> int:
 
 def cmd_hexopt(cfg: RunConfig, args) -> int:
     p = constants.SurfaceParameters.paper()
-    area = constants.constant_value("area_extremal")
-    cert = hexopt.hexopt_certificate(p.h, p.theta, area)
+    cert, checks = hexopt_stage(p, constants.constant_value("area_extremal"))
     report = _base_report(cfg)
     report["hexopt"] = cert
     _emit(report, cfg)
-    ok = all(c["margin"] >= 0.006 for c in cert["cases"].values())
+    ok = checks[-1]["pass"]  # the alternative-decomposition margins
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -251,7 +248,8 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
         report["fem"] = {"flat_collar": flat.value,
                         "hyperbolic_chart": hyp.value}
     else:  # certify
-        cert = capacity.separation_certificate(include_fem=args.fem)
+        cert, _ = capacity_stage(constants.SurfaceParameters.paper(), cfg,
+                                 include_fem=args.fem)
         report["separation"] = cert
         if not cert["separated"]:
             code = EXIT_CHECK_FAILED
@@ -269,10 +267,51 @@ def _check(checks: list, name: str, value, ok: bool, tolerance=None,
     return bool(ok)
 
 
-def run_pipeline(cfg: RunConfig, perturb_h: float = 0.0) -> tuple[dict, str | None]:
+def hexopt_stage(p, area_closed: float) -> tuple[dict, list[dict]]:
+    """The hexopt certificate and the three checks read from it."""
+    cert = hexopt.hexopt_certificate(p.h, p.theta, area_closed)
+    checks: list[dict] = []
+    hx = cert["hex_min"]
+    ok = abs(hx["area"] - hx["closed_form"]) <= 1e-8
+    ok &= abs(hx["angles"][0] - hx["argmin_target"][0]) <= 1e-4
+    ok &= abs(hx["angles"][1] - hx["argmin_target"][1]) <= 1e-4
+    _check(checks, "hexagon minimum", hx["area"], ok, 1e-8, "grid")
+    tr = cert["tradeoff"]
+    ok = abs(tr["h_star"] - p.h) <= 1e-8
+    ok &= abs(tr["stationarity_residual"]) <= 1e-9
+    _check(checks, "height tradeoff equilibrium", tr["h_star"], ok, 1e-8)
+    worst_margin = min(c["margin"] for c in cert["cases"].values())
+    _check(checks, "alternative-decomposition margins", worst_margin,
+           worst_margin >= 0.006, 0.006)
+    return cert, checks
+
+
+def capacity_stage(p, cfg: RunConfig,
+                   include_fem: bool = False) -> tuple[dict, list[dict]]:
+    """The separation certificate and the three checks read from it; the
+    width-integral bound is computed once, at the configured tol."""
+    lower = capacity.muetzel_bound(capacity.hyperbolic_collar_profile(),
+                                   tol=cfg.tol)
+    cert = capacity.separation_certificate(p, include_fem=include_fem,
+                                           lower=lower)
+    checks: list[dict] = []
+    ok = abs(cert["upper"] - 2.283093046469848) <= 1e-9
+    _check(checks, "flat collar capacity upper", cert["upper"], ok, 1e-9)
+    ok = abs(lower.value - 2.2946094708421385) <= 1e-9
+    ok &= abs(lower.meta["romberg"] - lower.value) <= 1e-6
+    _check(checks, "hyperbolic collar capacity lower", lower.value, ok, 1e-9,
+           "quadrature")
+    worst = min(cert["margin_upper"], cert["margin_lower"])
+    _check(checks, "capacity separation margins", worst, worst >= 4e-3, 4e-3)
+    return cert, checks
+
+
+def run_pipeline(cfg: RunConfig,
+                 perturb_h: float = 0.0) -> tuple[dict, str | None, dict]:
     """Build -> systole -> area -> hexopt -> capacity -> certificate.
 
-    Returns the report and the name of the first failing stage (or None).
+    Returns the report, the name of the first failing stage (or None) and
+    the hexopt and separation certificates the checks were read from.
     """
     report = _base_report(cfg)
     checks: list[dict] = []
@@ -293,7 +332,7 @@ def run_pipeline(cfg: RunConfig, perturb_h: float = 0.0) -> tuple[dict, str | No
         stage_fail("build")
         report["checks"] = checks
         report["first_failure"] = first_fail
-        return report, first_fail
+        return report, first_fail, {}
 
     s = surface.build_extremal_dyck(p)
     ok = s.euler_characteristic == -1 and not s.orientable
@@ -335,61 +374,32 @@ def run_pipeline(cfg: RunConfig, perturb_h: float = 0.0) -> tuple[dict, str | No
                             "count": len(res.paths),
                             "complete": res.complete}
 
-    hx = hexopt.minimize_hex((0.25, p.h, 0.25))
-    closed_min = p.h * math.sqrt(1 - 4 * p.h * p.h)
-    ok = abs(hx.area - closed_min) <= 1e-8
-    ok &= abs(hx.angles[0] - p.theta) <= 1e-4
-    ok &= abs(hx.angles[1] - (math.pi - 2 * p.theta)) <= 1e-4
-    if not _check(checks, "hexagon minimum", hx.area, ok, 1e-8, "grid"):
-        stage_fail("hexopt")
-    tr = hexopt.optimize_mobius_tradeoff()
-    ok = abs(tr.h_star - p.h) <= 1e-8 and abs(tr.residual) <= 1e-9
-    if not _check(checks, "height tradeoff equilibrium", tr.h_star, ok, 1e-8):
-        stage_fail("hexopt")
-    cases = hexopt.case_bounds(p.h, area_closed)
-    worst_margin = min(c.margin for c in cases.values())
-    if not _check(checks, "alternative-decomposition margins", worst_margin,
-                  worst_margin >= 0.006, 0.006):
-        stage_fail("hexopt")
-
-    upper = capacity.flat_capacity_upper(p, mesh_check=False)
-    lower = capacity.muetzel_bound(capacity.hyperbolic_collar_profile(),
-                                   tol=cfg.tol)
-    ok = abs(upper.closed_form.value - 2.283093046469848) <= 1e-9
-    if not _check(checks, "flat collar capacity upper",
-                  upper.closed_form.value, ok, 1e-9):
-        stage_fail("capacity")
-    ok = abs(lower.value - 2.2946094708421385) <= 1e-9
-    ok &= abs(lower.meta["romberg"] - lower.value) <= 1e-6
-    if not _check(checks, "hyperbolic collar capacity lower", lower.value,
-                  ok, 1e-9, "quadrature"):
-        stage_fail("capacity")
-    m_up = 2.29 - upper.closed_form.value
-    m_lo = lower.value - 2.29
-    if not _check(checks, "capacity separation margins", min(m_up, m_lo),
-                  min(m_up, m_lo) >= 4e-3, 4e-3):
-        stage_fail("certificate")
+    hexopt_cert, hexopt_checks = hexopt_stage(p, area_closed)
+    sep_cert, capacity_checks = capacity_stage(p, cfg)
+    # the last capacity check, the separation margins, is the certificate
+    stages = ["hexopt"] * 3 + ["capacity"] * 2 + ["certificate"]
+    for stage, check in zip(stages, hexopt_checks + capacity_checks):
+        checks.append(check)
+        if not check["pass"]:
+            stage_fail(stage)
 
     report["area"] = area_mesh
     report["checks"] = checks
     report["first_failure"] = first_fail
     report["all_passed"] = first_fail is None
-    return report, first_fail
+    return report, first_fail, {"hexopt_certificate": hexopt_cert,
+                                "separation_certificate": sep_cert}
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    report, first_fail = run_pipeline(cfg, perturb_h=args.perturb_h or 0.0)
+    report, first_fail, _ = run_pipeline(cfg, perturb_h=args.perturb_h or 0.0)
     _emit(report, cfg)
     return EXIT_OK if first_fail is None else EXIT_CHECK_FAILED
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
-    report, first_fail = run_pipeline(cfg)
-    p = constants.SurfaceParameters.paper()
-    area = constants.constant_value("area_extremal")
-    report["hexopt_certificate"] = hexopt.hexopt_certificate(
-        p.h, p.theta, area)
-    report["separation_certificate"] = capacity.separation_certificate()
+    report, first_fail, certificates = run_pipeline(cfg)
+    report.update(certificates)
     _emit(report, cfg)
     return EXIT_OK if first_fail is None else EXIT_CHECK_FAILED
 
@@ -441,8 +451,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="quadrature tolerance")
     common.add_argument("--budget", type=int, default=sup,
                         help="unfolding step budget")
-    common.add_argument("--seed", type=int, default=sup,
-                        help="seed for randomized checks")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=sup, help="output format (default json)")
     common.add_argument("--json", dest="format", action="store_const",

@@ -141,23 +141,6 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def quad_arith(x: QuadraticNumber, y: QuadraticNumber | None, op: str) -> QuadraticNumber:
-    """Apply a field operation; `y` is ignored for the unary ops neg/conj."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    if op == "conj":
-        return x.conj()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def eval_decimal(build: Callable[[], mp.mpf], digits: int) -> str:
     """Evaluate `build()` (an mpmath expression closure) correctly rounded.
 
@@ -195,8 +178,6 @@ AREA_RADICAND = 169 - 38 * SQRT19
 COSH_HALF_ELL = (5 + SQRT17) / 2
 #: tan^2(theta) = 36 h^2 = (8 - sqrt(19))/2.
 TAN_SQ_THETA = (8 - SQRT19) / 2
-#: tan^2(theta/2) = 4h^2 / (1 - 4h^2) = (8 - sqrt(19))/(10 + sqrt(19)).
-TAN_SQ_HALF_THETA = (4 * H_SQUARED) / (1 - 4 * H_SQUARED)
 
 
 def _mp_h():
@@ -242,20 +223,6 @@ _REGISTRY: dict[str, tuple[Callable[[], mp.mpf], str | None]] = {
         "h sqrt(1 - 4 h^2)",
     ),
 }
-
-#: Rounded decimals as printed in the source publication.  Kept verbatim as
-#: test oracles; some are truncations or carry last-digit rounding slips, so
-#: they are compared with explicit tolerances, never by string equality.
-PAPER_DECIMALS: dict[str, str] = {
-    "h": "0.2248796",
-    "area_extremal": "1.15279",
-    "systolic_ratio_dyck": "0.86745",
-    "ell": "4.397146",
-    "voronoi_floor": "0.15887",
-    "cap_upper": "2.28308",
-    "cap_lower": "2.29461",
-}
-
 
 def constant_names() -> list[str]:
     return sorted(_REGISTRY)

@@ -155,31 +155,26 @@ def _seg_min_dist(p0, p1) -> float:
     return float(np.linalg.norm(p0 + t * d))
 
 
-def _develop_from_corner(s, link, f0, c0, L_max, budget, record_hit):
-    ch0 = s.chart(f0)
-    origin = ch0[c0]
-    wa = _unit(ch0[(c0 + 1) % 3] - origin)
-    wb = _unit(ch0[(c0 + 2) % 3] - origin)
-    if _cross(wa, wb) < 0:
-        wa, wb = wb, wa
-    R0 = np.eye(2)
-    t0 = -origin
-    stack = [(f0, R0, t0, wa, wb, None)]
+def _in_window(wa, wb, ph) -> bool:
+    return _cross(wa, ph) >= -CAPTURE_TOL and _cross(ph, wb) >= -CAPTURE_TOL
+
+
+def _unfold(s, L_max, budget, stack):
+    """Windowed unfolding from the developing origin.
+
+    Stack entries are (face, R, t, wa, wb, entry slot): x |-> R @ x + t
+    develops chart(face) into the plane and [wa, wb] is the sector of
+    directions still visible through the crossed edges.  Each popped face
+    spends one budget step and is yielded as (face, R, t, developed chart,
+    wa, wb); then every glued edge within L_max that the sector still sees
+    is pushed.  Edges through the origin are never crossed.
+    """
     while stack:
         f, R, t, wa, wb, entry = stack.pop()
         budget.spend()
-        ch = s.chart(f)
-        dev = (R @ ch.T).T + t
-        for c in range(3):
-            P = dev[c]
-            r = float(np.linalg.norm(P))
-            if r < 1e-9 or r > L_max + 1e-7:
-                continue
-            ph = P / r
-            if _cross(wa, ph) >= -CAPTURE_TOL and _cross(ph, wb) >= -CAPTURE_TOL:
-                record_hit(f, c, P, r, R)
-        exits = range(3) if entry is not None else [(c0 + 1) % 3]
-        for e in exits:
+        dev = (R @ s.chart(f).T).T + t
+        yield f, R, t, dev, wa, wb
+        for e in range(3):
             if e == entry:
                 continue
             P0, P1 = dev[e], dev[(e + 1) % 3]
@@ -187,20 +182,15 @@ def _develop_from_corner(s, link, f0, c0, L_max, budget, record_hit):
                 continue
             r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
             if r0 < 1e-12 or r1 < 1e-12:
-                continue  # edge emanating from the source vertex
+                continue  # edge emanating from the origin
             c0d, c1d = P0 / r0, P1 / r1
             if _cross(c0d, c1d) < 0:
                 c0d, c1d = c1d, c0d
             win = _window_intersect(wa, wb, c0d, c1d)
-            if win is None:
-                continue
-            g = s.glue_map.get((f, e))
-            if g is None:
+            if win is None or (f, e) not in s.glue_map:
                 continue
             f2, e2, _, Re, te = s.edge_transition(f, e)
-            R2 = R @ Re
-            t2 = R @ te + t
-            stack.append((f2, R2, t2, win[0], win[1], e2))
+            stack.append((f2, R @ Re, R @ te + t, win[0], win[1], e2))
 
 
 def enumerate_saddle_connections(
@@ -212,39 +202,49 @@ def enumerate_saddle_connections(
     link = _LinkTable(s)
     found: dict[tuple, SaddleConnection] = {}
     bud = _Budget(budget)
-    complete = True
-    for f0 in range(len(s.faces)):
-        for c0 in range(3):
+    try:
+        for f0 in range(len(s.faces)):
             ch0 = s.chart(f0)
-            v_src = s.vertex_of((f0, c0))
-
-            def record_hit(f, c, P, r, R, f0=f0, c0=c0, ch0=ch0, v_src=v_src):
-                a_src = link.angle_of((f0, c0), P / r)
-                back = -(P / r)
-                off_t, E_t, sigma_t = link.corner[(f, c)]
-                # directions develop by the rotation part only; a reflection
-                # in the developing map reverses the rotation sense
-                E_dev = R @ E_t
-                det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
-                psi = sigma_t * det * math.atan2(_cross(E_dev, back), float(E_dev @ back))
-                v_dst = s.vertex_of((f, c))
-                a_dst = _wrap(off_t + max(0.0, psi), link.total[v_dst])
-                sc = SaddleConnection(
-                    v_src, a_src, v_dst, a_dst, r,
-                    f0, tuple(ch0[c0]), tuple(P / r),
-                )
-                found.setdefault(sc.key(), sc)
-
-            try:
-                _develop_from_corner(s, link, f0, c0, L_max, bud, record_hit)
-            except BudgetExceeded:
-                complete = False
-                break
-        if not complete:
-            break
+            for c0 in range(3):
+                origin = ch0[c0]
+                start = tuple(origin)
+                wa = _unit(ch0[(c0 + 1) % 3] - origin)
+                wb = _unit(ch0[(c0 + 2) % 3] - origin)
+                if _cross(wa, wb) < 0:
+                    wa, wb = wb, wa
+                seed = (f0, np.eye(2), -origin, wa, wb, None)
+                for f, R, _, dev, wa, wb in _unfold(s, L_max, bud, [seed]):
+                    for c in range(3):
+                        P = dev[c]
+                        r = float(np.linalg.norm(P))
+                        if r < 1e-9 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
+                            continue
+                        sc = _saddle_connection(s, link, (f0, c0), start, (f, c),
+                                                P, r, R)
+                        found.setdefault(sc.key(), sc)
+        complete = True
+    except BudgetExceeded:
+        complete = False
     conns = _drop_colinear(found.values())
     conns.sort(key=lambda sc: (sc.length, sc.key()))
     return SaddleConnectionSet(conns, complete, bud.used)
+
+
+def _saddle_connection(s, link, src, start, dst, P, r, R) -> SaddleConnection:
+    """Connection from corner src (chart point `start`) to corner dst,
+    developed at P with |P| = r by a map with linear part R."""
+    a_src = link.angle_of(src, P / r)
+    back = -(P / r)
+    off_t, E_t, sigma_t = link.corner[dst]
+    # directions develop by the rotation part only; a reflection in the
+    # developing map reverses the rotation sense
+    E_dev = R @ E_t
+    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
+    psi = sigma_t * det * math.atan2(_cross(E_dev, back), float(E_dev @ back))
+    v_dst = s.vertex_of(dst)
+    a_dst = _wrap(off_t + max(0.0, psi), link.total[v_dst])
+    return SaddleConnection(s.vertex_of(src), a_src, v_dst, a_dst, r, src[0],
+                            start, tuple(P / r))
 
 
 def _drop_colinear(conns) -> list[SaddleConnection]:
@@ -353,7 +353,8 @@ class GeodesicPath:
         return [v for v, _, _ in self.incidences]
 
     def validate(self, s: ConeSurface, tol: float = 1e-10) -> None:
-        assert self.segments
+        if not self.segments:
+            raise GeodesicError("empty path")
         total = sum(seg.length for seg in self.segments)
         if abs(total - self.length) > 1e-8:
             raise GeodesicError("length mismatch")
@@ -528,86 +529,48 @@ def _develop_from_point(s, f0, pt, L_max, budget, target=None):
     pt = np.asarray(pt, dtype=float)
     ch0 = s.chart(f0)
     vdist: dict[int, float] = {}
-    tdist = [math.inf]
-
-    def handle(f, R, t):
-        dev = (R @ s.chart(f).T).T + t
-        return dev
-
-    def visit(f, R, t, wa, wb):
-        dev = handle(f, R, t)
-        for c in range(3):
-            P = dev[c]
-            r = float(np.linalg.norm(P))
-            if r < 1e-12 or r > L_max + 1e-7:
-                continue
-            ph = P / r
-            if _cross(wa, ph) >= -CAPTURE_TOL and _cross(ph, wb) >= -CAPTURE_TOL:
-                v = s.vertex_of((f, c))
-                if r < vdist.get(v, math.inf):
-                    vdist[v] = r
-        if target is not None and f == target[0]:
-            P = R @ np.asarray(target[1], dtype=float) + t
-            r = float(np.linalg.norm(P))
-            if r > 1e-12 and r <= L_max + 1e-7:
-                ph = P / r
-                if _cross(wa, ph) >= -CAPTURE_TOL and _cross(ph, wb) >= -CAPTURE_TOL:
-                    tdist[0] = min(tdist[0], r)
-
-    bud = _Budget(budget)
-    complete = True
+    tdist = math.inf
     # the start face is visible in every direction
     for c in range(3):
-        ch = ch0
-        r = float(np.linalg.norm(ch[c] - pt))
+        r = float(np.linalg.norm(ch0[c] - pt))
         if 1e-12 < r <= L_max:
             v = s.vertex_of((f0, c))
             vdist[v] = min(vdist.get(v, math.inf), r)
     if target is not None and target[0] == f0:
         r = float(np.linalg.norm(np.asarray(target[1]) - pt))
         if r <= L_max:
-            tdist[0] = min(tdist[0], r)
+            tdist = min(tdist, r)
+    # one seed per glued start edge, pushed last-first so that edge 0's
+    # subtree is developed first
+    seeds = []
+    for e0 in (2, 1, 0):
+        P0, P1 = ch0[e0] - pt, ch0[(e0 + 1) % 3] - pt
+        r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
+        if min(r0, r1) < 1e-12 or (f0, e0) not in s.glue_map:
+            continue
+        wa, wb = P0 / r0, P1 / r1
+        if _cross(wa, wb) < 0:
+            wa, wb = wb, wa
+        f2, e2, _, Re, te = s.edge_transition(f0, e0)
+        seeds.append((f2, Re, te - pt, wa, wb, e2))
+    complete = True
     try:
-        for e0 in range(3):
-            P0, P1 = ch0[e0] - pt, ch0[(e0 + 1) % 3] - pt
-            r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
-            if min(r0, r1) < 1e-12:
-                continue
-            wa, wb = P0 / r0, P1 / r1
-            if _cross(wa, wb) < 0:
-                wa, wb = wb, wa
-            g = s.glue_map.get((f0, e0))
-            if g is None:
-                continue
-            f2, e2, _, Re, te = s.edge_transition(f0, e0)
-            stack = [(f2, Re, te - pt, wa, wb, e2)]
-            while stack:
-                f, R, t, wa, wb, entry = stack.pop()
-                bud.spend()
-                visit(f, R, t, wa, wb)
-                dev = handle(f, R, t)
-                for e in range(3):
-                    if e == entry:
-                        continue
-                    Q0, Q1 = dev[e], dev[(e + 1) % 3]
-                    if _seg_min_dist(Q0, Q1) > L_max:
-                        continue
-                    q0, q1 = np.linalg.norm(Q0), np.linalg.norm(Q1)
-                    if min(q0, q1) < 1e-12:
-                        continue
-                    c0d, c1d = Q0 / q0, Q1 / q1
-                    if _cross(c0d, c1d) < 0:
-                        c0d, c1d = c1d, c0d
-                    win = _window_intersect(wa, wb, c0d, c1d)
-                    if win is None:
-                        continue
-                    if s.glue_map.get((f, e)) is None:
-                        continue
-                    fn, en, _, Rn, tn = s.edge_transition(f, e)
-                    stack.append((fn, R @ Rn, R @ tn + t, win[0], win[1], en))
+        for f, R, t, dev, wa, wb in _unfold(s, L_max, _Budget(budget), seeds):
+            for c in range(3):
+                P = dev[c]
+                r = float(np.linalg.norm(P))
+                if r < 1e-12 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
+                    continue
+                v = s.vertex_of((f, c))
+                vdist[v] = min(vdist.get(v, math.inf), r)
+            if target is not None and f == target[0]:
+                P = R @ np.asarray(target[1], dtype=float) + t
+                r = float(np.linalg.norm(P))
+                if 1e-12 < r <= L_max + 1e-7 and _in_window(wa, wb, P / r):
+                    tdist = min(tdist, r)
     except BudgetExceeded:
         complete = False
-    return vdist, tdist[0], complete
+    return vdist, tdist, complete
 
 
 @dataclass
@@ -618,11 +581,8 @@ class PointDistance:
 
 
 def _snap_to_vertex(s, f, pt):
-    ch = s.chart(f)
-    for c in range(3):
-        if np.linalg.norm(ch[c] - pt) < 1e-9:
-            return s.vertex_of((f, c))
-    return None
+    corner = _chart_vertex_at(s, f, pt, tol=1e-9)
+    return None if corner is None else s.vertex_of(corner)
 
 
 def point_distance(s: ConeSurface, x, y, L_max: float,

@@ -205,16 +205,6 @@ def cone_disk_area_floor(h: float) -> float:
     return math.pi * h * h
 
 
-def strip_area_floor(x: float, h: float) -> float:
-    """Area of an embedded flat strip of width 2h and length x: 2 h x."""
-    return 2 * h * x
-
-
-def two_edge_face_floor(h: float) -> float:
-    """Area floor h for a cell face bounded by exactly two graph edges."""
-    return h
-
-
 @dataclass
 class CaseBound:
     bound: float

@@ -12,7 +12,6 @@ characteristic are all derived from the gluing combinatorics.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 from dataclasses import dataclass, field
@@ -254,7 +253,8 @@ class ConeSurface:
         side_in = _side(p0, p1, ch[(e + 2) % 3])
         for R in (R_rot, R_ref):
             t = p0 - R @ q0
-            assert np.allclose(R @ q1 + t, p1, atol=1e-9)
+            if not np.allclose(R @ q1 + t, p1, atol=1e-9):
+                raise SurfaceError(f"edge ({f},{e}) does not map onto its twin")
             if _side(p0, p1, R @ opp + t) == -side_in:
                 return f2, e2, flip, R, t
         raise SurfaceError(f"no valid transition across ({f},{e})")
@@ -320,24 +320,29 @@ class ConeSurface:
             if step is None:
                 break
             f, c, entry = step
-        assert all(self.vertex_of((ff, cc)) == v for ff, cc, _, _ in out)
+        if any(self.vertex_of((ff, cc)) != v for ff, cc, _, _ in out):
+            raise SurfaceError(f"link walk around vertex {v} left the vertex")
         return out
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        marks = dict(self.marks)
+        if "boundary_labels" in marks:
+            marks["boundary_labels"] = {
+                str(slot): lbl for slot, lbl in marks["boundary_labels"].items()}
         return {
             "name": self.name,
             "faces": [list(tri) for tri in self.faces],
             "gluings": [[f, e, f2, e2, int(flip)] for f, e, f2, e2, flip in self.gluings],
             "marks": {
-                "weierstrass": self.marks.get("weierstrass", []),
-                "p": self.marks.get("p"),
-                "q": self.marks.get("q"),
-                "soul": self.marks.get("soul", []),
+                "weierstrass": marks.get("weierstrass", []),
+                "p": marks.get("p"),
+                "q": marks.get("q"),
+                "soul": marks.get("soul", []),
                 **{
                     k: v
-                    for k, v in sorted(self.marks.items())
+                    for k, v in sorted(marks.items())
                     if k not in ("weierstrass", "p", "q", "soul")
                 },
             },
@@ -358,6 +363,8 @@ class ConeSurface:
                 v = [tuple(x) for x in v]
             elif k in ("p", "q"):
                 v = tuple(v)
+            elif k == "boundary_labels":
+                v = {_parse_slot(key): lbl for key, lbl in v.items()}
             marks[k] = v
         return cls(d["faces"], [tuple(g) for g in d["gluings"]], d.get("name", ""), marks)
 
@@ -391,6 +398,12 @@ class ConeSurface:
         ):
             return False
         return sorted(self.gluings) == sorted(other.gluings)
+
+
+def _parse_slot(key: str) -> Slot:
+    """Inverse of str((f, e))."""
+    f, e = key.strip("()").split(",")
+    return int(f), int(e)
 
 
 def _side(p0, p1, x) -> int:
@@ -461,12 +474,8 @@ def orientation_double_cover(s: ConeSurface) -> ConeSurface:
         elif k in ("region", "cell"):
             marks[k] = list(v) + list(v)
         elif k == "boundary_labels":
-            out = {}
-            for key, lbl in v.items():
-                f, e = ast.literal_eval(str(key))
-                out[str((f, e))] = lbl
-                out[str((f + F, e))] = lbl
-            marks[k] = out
+            marks[k] = {slot: lbl for (f, e), lbl in v.items()
+                        for slot in ((f, e), (f + F, e))}
     return ConeSurface(faces, gluings, name=s.name + "|cover", marks=marks)
 
 
@@ -507,9 +516,9 @@ def subdivide(s: ConeSurface) -> ConeSurface:
             marks[k] = [lbl for lbl in v for _ in range(4)]
         elif k == "boundary_labels":
             marks[k] = {
-                str(tuple(h)): lbl
-                for slot_s, lbl in v.items()
-                for h in _subdivided_boundary(slot_s)
+                _half_slot(f, e, half): lbl
+                for (f, e), lbl in v.items()
+                for half in (0, 1)
             }
     return ConeSurface(faces, gluings, name=s.name + "|sub", marks=marks)
 
@@ -517,11 +526,6 @@ def subdivide(s: ConeSurface) -> ConeSurface:
 def _corner_child(corner) -> Corner:
     f, c = corner
     return (4 * f + c, c)
-
-
-def _subdivided_boundary(slot_key) -> list[Slot]:
-    f, e = slot_key if isinstance(slot_key, tuple) else ast.literal_eval(str(slot_key))
-    return [_half_slot(f, e, 0), _half_slot(f, e, 1)]
 
 
 # -- boundary components -----------------------------------------------
@@ -571,18 +575,29 @@ def surface_from_vertex_faces(coords, faces, name: str = "", marks=None) -> Cone
     """
     coords = np.asarray(coords, dtype=float)
     tris = [tuple(tri) for tri in faces]
-    lengths = []
-    for tri in tris:
-        pts = coords[list(tri)]
-        lengths.append(
-            tuple(float(np.linalg.norm(pts[(i + 1) % 3] - pts[i])) for i in range(3))
-        )
+    lengths = [side_lengths(coords[list(tri)]) for tri in tris]
+    gluings, _ = match_vertex_edges(tris)
+    return ConeSurface(lengths, gluings, name=name, marks=marks)
+
+
+def side_lengths(pts) -> tuple[float, float, float]:
+    """Lengths of slots 0, 1, 2 of the planar triangle pts[0], pts[1], pts[2]."""
+    return tuple(float(np.linalg.norm(pts[(i + 1) % 3] - pts[i])) for i in range(3))
+
+
+def match_vertex_edges(tris) -> tuple[list[tuple], list[Slot]]:
+    """Gluings and boundary slots of a vertex-indexed triangulation.
+
+    Two slots whose (unordered) vertex-id pairs coincide are glued; a slot
+    whose pair occurs once is a boundary slot.  Slots are listed in order of
+    the first occurrence of their pair.
+    """
     edge_map: dict[tuple[int, int], list[Slot]] = {}
     for f, tri in enumerate(tris):
         for e in range(3):
             key = tuple(sorted((tri[e], tri[(e + 1) % 3])))
             edge_map.setdefault(key, []).append((f, e))
-    gluings = []
+    gluings, boundary = [], []
     for key, occ in edge_map.items():
         if len(occ) > 2:
             raise SurfaceError(f"edge {key} shared by more than two faces")
@@ -591,7 +606,9 @@ def surface_from_vertex_faces(coords, faces, name: str = "", marks=None) -> Cone
             # different start vertices: endpoints pair up crosswise
             flip = tris[f][e] != tris[f2][e2]
             gluings.append((f, e, f2, e2, bool(flip)))
-    return ConeSurface(lengths, gluings, name=name, marks=marks)
+        else:
+            boundary += occ
+    return gluings, boundary
 
 
 def build_flat_torus(a: float = 1.0, b: float = 1.0, shear: float = 0.0) -> ConeSurface:
@@ -642,8 +659,8 @@ def build_cylinder(circumference: float, height: float, columns: int = 6) -> Con
         faces.append((diag, w, height))
         gluings.append((2 * j, 2, 2 * j + 1, 0, True))  # diagonal
         gluings.append((2 * j, 1, 2 * ((j + 1) % n) + 1, 2, True))  # vertical seam
-        labels[str((2 * j, 0))] = "bottom"
-        labels[str((2 * j + 1, 1))] = "top"
+        labels[(2 * j, 0)] = "bottom"
+        labels[(2 * j + 1, 1)] = "top"
     return ConeSurface(faces, gluings, name=f"cylinder({circumference},{height})",
                        marks={"boundary_labels": labels})
 
@@ -668,7 +685,7 @@ def build_round_annulus(r_in: float, r_out: float, n_theta: int = 48, n_r: int =
     labels = {}
     for f, e in s.boundary_slots:
         inner = f < 2 * n_theta
-        labels[str((f, e))] = "bottom" if inner else "top"
+        labels[(f, e)] = "bottom" if inner else "top"
     return ConeSurface(s.faces, s.gluings, name=f"annulus({r_in},{r_out})",
                        marks={"boundary_labels": labels})
 
@@ -779,8 +796,8 @@ def build_collar_flat(p: SurfaceParameters | None = None) -> ConeSurface:
     labels = {}
     for j in range(6):
         for fe in ((hp["B"](j), 1), (hp["C"](j), 1)):
-            labels[str(fe)] = "bottom"
-            labels[str((fe[0] + n, fe[1]))] = "top"
+            labels[fe] = "bottom"
+            labels[(fe[0] + n, fe[1])] = "top"
     marks = {
         "soul": [(R(j), 0) for j in range(6)],
         "region": (["hex"] * 18 + ["mobius"] * 24) * 2,
@@ -797,13 +814,6 @@ def build_collar_leq0_via_cover(p: SurfaceParameters | None = None) -> ConeSurfa
     s = build_extremal_dyck(p)
     cut = cut_along_graph(s, extremal_cut_graph(s))
     return orientation_double_cover(cut)
-
-
-def build_collar_hyperbolic_profile(dps: int = 30):
-    """Fermi half-width profile of the extremal hyperbolic collar."""
-    from .capacity import hyperbolic_collar_profile
-
-    return hyperbolic_collar_profile(dps=dps)
 
 
 # -- combinatorial isometries ------------------------------------------

@@ -90,10 +90,6 @@ class TestCollarProfile:
         with pytest.raises(CapacityError):
             bad.validate()
 
-    def test_surface_module_delegation(self):
-        p = sf.build_collar_hyperbolic_profile()
-        assert p.ell == pytest.approx(ELL, abs=1e-12)
-
     def test_constant_profile_needs_positive_width(self):
         with pytest.raises(CapacityError):
             constant_profile(2.0, -0.1)
@@ -188,6 +184,17 @@ class TestFemCapacity:
         assert est.value <= UPPER + 1e-3
         assert est.value < 2.29
 
+    def test_json_round_trip_keeps_slot_labels(self, tmp_path):
+        collar = sf.build_collar_flat()
+        path = tmp_path / "collar.json"
+        collar.save_json(path)
+        loaded = sf.ConeSurface.load_json(path)
+        labels = loaded.marks["boundary_labels"]
+        assert all(isinstance(key, tuple) for key in labels)
+        assert labels == collar.marks["boundary_labels"]
+        assert (fem_capacity(loaded, mesh_h=0.12).value
+                == fem_capacity(collar, mesh_h=0.12).value)
+
     def test_non_annulus_rejected(self):
         with pytest.raises(CapacityError):
             fem_capacity(sf.build_extremal_dyck())
@@ -234,6 +241,12 @@ class TestSeparation:
         assert cert["margin_lower"] >= 4e-3
         assert cert["margin_upper"] == pytest.approx(0.00691, abs=1e-5)
         assert cert["margin_lower"] == pytest.approx(0.00461, abs=1e-5)
+
+    def test_failed_separation_is_reported(self):
+        # margins 0.0069 and 0.0046 do not clear tol = 0.01
+        cert = separation_certificate(tol=0.01)
+        assert not cert["separated"]
+        assert cert["upper"] < 2.29 < cert["lower"]
 
     def test_with_fem_consistency(self):
         cert = separation_certificate(include_fem=True)

@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import os
 
 import pytest
 
+from dycksurf import capacity, hexopt
 from dycksurf.cli import (
     BadInput,
     RunConfig,
@@ -58,7 +60,6 @@ class TestConfigFile:
             mesh_h = None
             tol = None
             budget = None
-            seed = None
             format = None
             out = None
 
@@ -71,6 +72,12 @@ class TestConfigFile:
         cfgfile.write_text("volume = 11\n")
         with pytest.raises(BadInput):
             load_config_file(str(cfgfile))
+
+    def test_seed_is_not_a_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = 1\n")
+        assert main(["--config", str(cfgfile), "constants"]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["--digits", "10", "constants"]) == 2
@@ -159,6 +166,14 @@ class TestHexoptAndCapacity:
         assert code == 0
         assert rep["separation"]["separated"]
 
+    def test_capacity_certify_failed_separation(self, capsys, monkeypatch):
+        # margins 0.0069 and 0.0046 do not clear a 0.01 tolerance
+        monkeypatch.setattr(capacity, "separation_certificate", functools.partial(
+            capacity.separation_certificate, tol=0.01))
+        code, rep = run_json(capsys, "capacity", "certify")
+        assert code == 4
+        assert not rep["separation"]["separated"]
+
 
 class TestVerify:
     def test_green_run(self, capsys):
@@ -193,6 +208,30 @@ class TestCertify:
         assert rep["separation_certificate"]["separated"]
         assert rep["hexopt_certificate"]["tradeoff"][
             "stationarity_residual"] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestCertifyComputesOnce:
+    def test_each_certificate_computed_once(self, capsys, monkeypatch):
+        calls = {"minimize_hex": 0, "muetzel_bound": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(hexopt, "minimize_hex")
+        counted(capacity, "muetzel_bound")
+        code, rep = run_json(capsys, "--tol", "1e-6", "certify")
+        assert code == 0
+        assert calls == {"minimize_hex": 1, "muetzel_bound": 1}
+        # the certificate carries the bound computed at the configured tol
+        by_name = {c["name"]: c for c in rep["checks"]}
+        assert (rep["separation_certificate"]["lower"]
+                == by_name["hyperbolic collar capacity lower"]["value"])
 
 
 class TestExport:

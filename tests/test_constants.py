@@ -13,7 +13,6 @@ from dycksurf.constants import (
     check_defining_relations,
     eval_decimal,
     named_constant,
-    quad_arith,
 )
 
 
@@ -24,7 +23,7 @@ def q19(a, b):
 class TestQuadraticArithmetic:
     def test_norm_identity(self):
         # (1 + sqrt19)(1 - sqrt19) = 1 - 19 = -18
-        prod = quad_arith(q19(1, 1), q19(1, -1), "mul")
+        prod = q19(1, 1) * q19(1, -1)
         assert prod == q19(-18, 0)
 
     def test_seven_digit_evaluation(self):
@@ -32,7 +31,7 @@ class TestQuadraticArithmetic:
         assert x.decimal(7) == "0.5954332"
 
     def test_conjugation(self):
-        assert quad_arith(q19(8, -1), None, "conj") == q19(8, 1)
+        assert q19(8, -1).conj() == q19(8, 1)
 
     def test_division_exact(self):
         x = q19(3, 2)

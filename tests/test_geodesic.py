@@ -8,6 +8,7 @@ from dycksurf import surface as sf
 from dycksurf.geodesic import (
     DistanceField,
     GeodesicError,
+    GeodesicPath,
     comparison_polygon,
     enumerate_closed_geodesics,
     enumerate_saddle_connections,
@@ -186,6 +187,16 @@ class TestExtremalGeodesics:
             for _, left, right in p.incidences:
                 assert min(left, right) >= math.pi - 1e-7
 
+    def test_unfolding_work_pinned(self, dyck):
+        scs = enumerate_saddle_connections(dyck, 1.2)
+        assert scs.complete
+        assert scs.nodes_explored == 8724
+        assert len(scs.connections) == 1452
+
+    def test_empty_path_rejected(self, dyck):
+        with pytest.raises(GeodesicError):
+            GeodesicPath([], [], 0.0, True).validate(dyck)
+
     def test_json_export(self, dyck_geodesics):
         recs = geodesics_to_json(dyck_geodesics.paths)
         assert len(recs) == len(dyck_geodesics.paths)
@@ -218,6 +229,14 @@ class TestPointDistance:
         x = (3, np.mean(ch, axis=0))
         res = point_distance(dyck, x, x, 0.5)
         assert res.reachable and res.distance < 1e-12
+
+    def test_budget_truncated(self, dyck):
+        # the partial result depends on the order faces are developed in
+        x = (5, np.mean(dyck.chart(5), axis=0))
+        y = (30, np.mean(dyck.chart(30), axis=0))
+        res = point_distance(dyck, x, y, 1.0, budget=200)
+        assert not res.complete and res.reachable
+        assert res.distance == pytest.approx(0.5403899656243648, abs=1e-12)
 
     def test_out_of_range(self, dyck):
         W = [tuple(c) for c in dyck.marks["weierstrass"]]

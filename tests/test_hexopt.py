@@ -14,9 +14,7 @@ from dycksurf.hexopt import (
     hexopt_certificate,
     minimize_hex,
     optimize_mobius_tradeoff,
-    strip_area_floor,
     tradeoff_area,
-    two_edge_face_floor,
 )
 
 H = 0.22487963004041582
@@ -164,9 +162,6 @@ class TestCaseBounds:
 
     def test_floor_helpers(self):
         assert cone_disk_area_floor(H) == pytest.approx(0.15887, abs=5e-6)
-        assert strip_area_floor(1.0, H) == pytest.approx(2 * H, abs=1e-15)
-        assert strip_area_floor(1.0, H) == pytest.approx(0.449759, abs=1e-6)
-        assert two_edge_face_floor(H) == H
 
 
 class TestCertificate:
