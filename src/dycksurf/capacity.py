@@ -335,7 +335,6 @@ SEPARATION_LEVEL = 2.29
 def separation_certificate(p: SurfaceParameters | None = None,
                            tol: float = 1e-3,
                            include_fem: bool = False,
-                           mesh_check: bool = False,
                            lower: CapacityEstimate | None = None) -> dict:
     """Test flat-collar capacity < 2.29 < hyperbolic-collar capacity, each
     margin above tol; `separated` records the outcome.
@@ -344,7 +343,7 @@ def separation_certificate(p: SurfaceParameters | None = None,
     has already computed it (at its own quadrature tolerance).
     """
     p = p or SurfaceParameters.paper()
-    upper = flat_capacity_upper(p, mesh_check=mesh_check)
+    upper = flat_capacity_upper(p, mesh_check=False)
     if lower is None:
         lower = muetzel_bound(hyperbolic_collar_profile())
     margin_upper = SEPARATION_LEVEL - upper.closed_form.value
@@ -352,7 +351,6 @@ def separation_certificate(p: SurfaceParameters | None = None,
     ok = margin_upper > tol and margin_lower > tol
     cert = {
         "upper": upper.closed_form.value,
-        "upper_mesh": upper.mesh.value if upper.mesh else None,
         "lower": lower.value,
         "lower_error": lower.error_estimate,
         "level": SEPARATION_LEVEL,

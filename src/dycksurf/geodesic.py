@@ -10,6 +10,7 @@ Dijkstra graph; areas are integrated over a barycentric subtriangle grid.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -642,9 +643,18 @@ def point_distance(s: ConeSurface, x, y, L_max: float,
 class DistanceField:
     """Multi-source geodesic distance approximated on edge-subdivision nodes.
 
-    Nodes sit at evenly spaced points of every mesh edge (vertices shared);
-    within each face all node pairs are joined by their straight chart
-    distance, so graph paths are unions of in-face chords.  The node error
+    Each edge (a gluing or a boundary slot) of length l is cut into
+    k = max(1, round(l / mesh_h)) equal pieces.  Vertex v is node v; each
+    edge then appends its k - 1 interior nodes.  Slot (f, e) keeps the int
+    array of its k + 1 nodes from corner e to corner e + 1; the twin slot of
+    a flip=True gluing keeps that array reversed.  The nodes of a face are
+    its three slot arrays without their last entries, each at its own chart
+    position, so a vertex met at two corners of one face sits at both.
+
+    Within each face every two nodes are joined by their straight chart
+    distance.  The graph holds one entry per unordered node pair, the
+    shortest of its in-face chords; pairs of a node with itself are
+    dropped.  Graph paths are unions of in-face chords, and the node error
     is O(mesh_h).
     """
 
@@ -653,91 +663,60 @@ class DistanceField:
             raise GeodesicError("mesh_h must be positive")
         self.surface = s
         self.mesh_h = mesh_h
-        self._node_index: dict = {}
-        self._face_nodes: list[tuple[np.ndarray, np.ndarray]] = []
-        self._slot_key: dict[Slot, tuple] = {}
-        self._build()
-
-    def _key_of(self, idx, i, k, f, e):
-        s = self.surface
-        if i == 0:
-            return ("v", s.vertex_of((f, e)))
-        if i == k:
-            return ("v", s.vertex_of((f, (e + 1) % 3)))
-        return (idx, i)
-
-    def _build(self):
-        s = self.surface
-        for gi, (f, e, f2, e2, flip) in enumerate(s.gluings):
-            self._slot_key[(f, e)] = (("g", gi), False)
-            self._slot_key[(f2, e2)] = (("g", gi), flip)
-        for f, e in s.boundary_slots:
-            self._slot_key[(f, e)] = (("b", f, e), False)
-        idx: dict = {}
-
-        def nid(key):
-            if key not in idx:
-                idx[key] = len(idx)
-            return idx[key]
-
+        self.node_distance: np.ndarray | None = None
+        n = s.n_vertices
+        self._slot_nodes: dict[Slot, np.ndarray] = {}
+        edges = [((f, e), (f2, e2), flip) for f, e, f2, e2, flip in s.gluings]
+        edges += [(slot, None, False) for slot in s.boundary_slots]
+        for (f, e), twin, flip in edges:
+            k = max(1, round(s.faces[f][e] / mesh_h))
+            ids = np.concatenate(([s.vertex_of((f, e))], np.arange(n, n + k - 1),
+                                  [s.vertex_of((f, (e + 1) % 3))]))
+            n += k - 1
+            self._slot_nodes[(f, e)] = ids
+            if twin is not None:
+                self._slot_nodes[twin] = ids[::-1] if flip else ids
         rows, cols, vals = [], [], []
-        face_nodes = []
+        self._face_nodes: list[tuple[np.ndarray, np.ndarray]] = []
         for f in range(len(s.faces)):
             ch = s.chart(f)
             ids, pos = [], []
-            seen = set()
             for e in range(3):
-                key, rev = self._slot_key[(f, e)]
-                k = max(1, round(s.faces[f][e] / self.mesh_h))
-                for i in range(k + 1):
-                    ii = k - i if rev else i
-                    node = self._key_of(key, ii, k, *self._rec_slot(key))
-                    if node in seen:
-                        continue
-                    seen.add(node)
-                    frac = i / k
-                    p = ch[e] + frac * (ch[(e + 1) % 3] - ch[e])
-                    ids.append(nid(node))
-                    pos.append(p)
-            ids = np.array(ids)
-            pos = np.array(pos)
-            face_nodes.append((ids, pos))
-            d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+                nodes = self._slot_nodes[(f, e)]
+                frac = np.arange(len(nodes) - 1) / (len(nodes) - 1)
+                ids.append(nodes[:-1])
+                pos.append(ch[e] + frac[:, None] * (ch[(e + 1) % 3] - ch[e]))
+            ids, pos = np.concatenate(ids), np.concatenate(pos)
+            self._face_nodes.append((ids, pos))
             iu, ju = np.triu_indices(len(ids), k=1)
-            rows.extend(ids[iu])
-            cols.extend(ids[ju])
-            vals.extend(d[iu, ju])
-        self._node_index = idx
-        self._face_nodes = face_nodes
-        n = len(idx)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        self._graph = m + m.T
-        self.node_distance: np.ndarray | None = None
+            rows.append(ids[iu])
+            cols.append(ids[ju])
+            vals.append(np.linalg.norm(pos[iu] - pos[ju], axis=1))
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        keep = rows != cols
+        pair, vals = pair[keep], vals[keep]
+        order = np.lexsort((vals, pair))
+        pair, first = np.unique(pair[order], return_index=True)
+        self._graph = sp.csr_matrix((vals[order][first], divmod(pair, n)),
+                                    shape=(n, n))
 
-    def _rec_slot(self, key):
-        s = self.surface
-        if key[0] == "g":
-            g = s.gluings[key[1]]
-            return g[0], g[1]
-        return key[1], key[2]
-
-    def _nodes_of_slot(self, slot: Slot) -> list[int]:
-        s = self.surface
-        key, _ = self._slot_key[tuple(slot)]
-        f, e = self._rec_slot(key)
-        k = max(1, round(s.faces[f][e] / self.mesh_h))
-        return [self._node_index[self._key_of(key, i, k, f, e)] for i in range(k + 1)]
+    def _vertex_node(self, v) -> int:
+        if v not in range(self.surface.n_vertices):
+            raise GeodesicError(f"vertex {v!r} is not on the surface")
+        return int(v)
 
     def solve(self, source_slots=(), source_vertices=()):
-        src = set()
+        src = [self._vertex_node(v) for v in source_vertices]
         for slot in source_slots:
-            src.update(self._nodes_of_slot(slot))
-        for v in source_vertices:
-            src.add(self._node_index[("v", v)])
+            nodes = self._slot_nodes.get(tuple(slot))
+            if nodes is None:
+                raise GeodesicError(f"slot {slot!r} is not on the surface")
+            src.extend(nodes)
         if not src:
             raise GeodesicError("no sources")
-        d = _sp_dijkstra(self._graph, directed=False, indices=sorted(src))
-        self.node_distance = d.min(axis=0)
+        self.node_distance = _sp_dijkstra(self._graph, directed=False,
+                                          indices=np.unique(src), min_only=True)
         return self
 
     def eval_points(self, f: int, pts: np.ndarray) -> np.ndarray:
@@ -749,7 +728,7 @@ class DistanceField:
         return (dm + d[None, :]).min(axis=1)
 
     def vertex_distance(self, v: int) -> float:
-        return float(self.node_distance[self._node_index[("v", v)]])
+        return float(self.node_distance[self._vertex_node(v)])
 
 
 def _subtriangle_centroids(s: ConeSurface, f: int, m: int):
@@ -819,7 +798,9 @@ def voronoi_cells(s: ConeSurface, centers=None, mesh_h: float = 0.01,
     centers = list(centers)
     if len(set(centers)) != len(centers):
         raise GeodesicError("centers must be distinct")
-    fields = [DistanceField(s, mesh_h).solve(source_vertices=[v]) for v in centers]
+    field = DistanceField(s, mesh_h)
+    # shallow copies share the graph; each solve sets its own node_distance
+    fields = [copy.copy(field).solve(source_vertices=[v]) for v in centers]
     region = s.marks.get("region")
     cells = {v: VoronoiCell(v, 0.0, [], set()) for v in centers}
     for f in range(len(s.faces)):

@@ -161,6 +161,13 @@ class TestHexoptAndCapacity:
             2.2830930464698, abs=1e-9)
         assert rep["upper"]["mesh"] is None
 
+    def test_capacity_upper_mesh_check(self, capsys):
+        code, rep = run_json(capsys, "--mesh-h", "0.01", "capacity", "upper",
+                             "--mesh-check")
+        assert code == 0
+        assert rep["upper"]["consistent"] is True
+        assert abs(rep["upper"]["mesh"] - rep["upper"]["closed_form"]) <= 1e-3
+
     def test_capacity_certify(self, capsys):
         code, rep = run_json(capsys, "capacity", "certify")
         assert code == 0

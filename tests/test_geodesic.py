@@ -291,6 +291,55 @@ class TestDistanceFieldAndSublevel:
             assert d >= H - 1e-6
             assert d == pytest.approx(H, abs=2e-3)
 
+    @pytest.mark.parametrize("mesh_h", [0.25, 0.1])
+    def test_subdivided_torus_vertex_distances(self, mesh_h):
+        t = sf.subdivide(sf.build_flat_torus(1.0, 1.0))
+        field = DistanceField(t, mesh_h).solve(source_vertices=[0])
+        got = sorted(field.vertex_distance(v) for v in range(t.n_vertices))
+        assert got == pytest.approx([0.0, 0.5, 0.5, math.sqrt(2) / 2],
+                                    abs=1e-12)
+
+    def test_repeated_corner_keeps_its_position(self):
+        # the one vertex of the torus sits at all three corners of face 0;
+        # the point near corner (1, 0) is reached from that corner
+        t = sf.build_flat_torus(1.0, 1.0)
+        field = DistanceField(t, 0.05).solve(source_vertices=[0])
+        (d,) = field.eval_points(0, np.array([[0.95, 0.02]]))
+        assert d == pytest.approx(math.hypot(0.05, 0.02), abs=1e-12)
+
+    def test_graph_keeps_shortest_chord_per_pair(self, dyck):
+        field = DistanceField(dyck, 0.05)
+        chords: dict[tuple[int, int], float] = {}
+        for ids, pos in field._face_nodes:
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    a, b = sorted((int(ids[i]), int(ids[j])))
+                    if a != b:
+                        d = float(np.linalg.norm(pos[i] - pos[j]))
+                        chords[(a, b)] = min(d, chords.get((a, b), math.inf))
+        g = field._graph.tocoo()
+        graph = {}
+        for a, b, w in zip(g.row, g.col, g.data):
+            key = (min(a, b), max(a, b))
+            assert key not in graph
+            graph[key] = w
+        assert graph.keys() == chords.keys()
+        assert [graph[k] for k in chords] == pytest.approx(
+            list(chords.values()), rel=1e-15)
+
+    def test_bad_sources_refused(self, dyck):
+        field = DistanceField(dyck, 0.1)
+        for v in (-1, dyck.n_vertices):
+            with pytest.raises(GeodesicError):
+                field.solve(source_vertices=[v])
+        for slot in ((len(dyck.faces), 0), (0, 3)):
+            with pytest.raises(GeodesicError):
+                field.solve(source_slots=[slot])
+        field.solve(source_vertices=[0])
+        for v in (-1, dyck.n_vertices):
+            with pytest.raises(GeodesicError):
+                field.vertex_distance(v)
+
 
 class TestVoronoi:
     def test_three_equal_cells(self, dyck):
