@@ -213,32 +213,27 @@ def flat_capacity_upper(p: SurfaceParameters | None = None,
 # -- finite element solver ----------------------------------------------
 
 
-def _fem_energy(n_vertices: int, tris, lengths, fixed: dict[int, float]) -> float:
-    """Dirichlet energy of the piecewise-linear harmonic function with the
-    given vertex values prescribed; cotangent weights from side lengths."""
-    rows, cols, vals = [], [], []
-    for (v0, v1, v2), (l0, l1, l2) in zip(tris, lengths):
-        vs = (v0, v1, v2)
-        ls = (l0, l1, l2)
-        for c in range(3):
-            # angle at corner c lies between sides c and c-1, opposite c+1
-            adj1, adj2, opp = ls[c], ls[(c + 2) % 3], ls[(c + 1) % 3]
-            cosang = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
-            cosang = max(-1.0, min(1.0, cosang))
-            sinang = math.sqrt(max(0.0, 1.0 - cosang * cosang))
-            if sinang < 1e-14:
-                raise CapacityError("degenerate triangle in FEM mesh")
-            w = 0.5 * cosang / sinang
-            a, b = vs[(c + 1) % 3], vs[(c + 2) % 3]
-            rows += [a, b, a, b]
-            cols += [a, b, b, a]
-            vals += [w, w, -w, -w]
-    K = coo_matrix((vals, (rows, cols)),
-                   shape=(n_vertices, n_vertices)).tocsr()
-    u = np.zeros(n_vertices)
+def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]) -> float:
+    """Dirichlet energy of the piecewise-linear harmonic function on s with
+    the given vertex values prescribed; cotangent weights from the corner
+    cosines."""
+    cos = s.corner_cos
+    sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    if (sin < 1e-14).any():
+        raise CapacityError("degenerate triangle in FEM mesh")
+    w = 0.5 * cos / sin
+    # corner c couples the other two corners a, b of its face; the entries
+    # keep the order faces, corners, [a, b, a, b]
+    a, b = s.vertex_ids[:, [1, 2, 0]], s.vertex_ids[:, [2, 0, 1]]
+    rows = np.stack([a, b, a, b], axis=-1).ravel()
+    cols = np.stack([a, b, b, a], axis=-1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=-1).ravel()
+    n = s.n_vertices
+    K = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    u = np.zeros(n)
     for v, val in fixed.items():
         u[v] = val
-    free = np.array(sorted(set(range(n_vertices)) - set(fixed)), dtype=int)
+    free = np.array(sorted(set(range(n)) - set(fixed)), dtype=int)
     if len(free):
         rhs = -(K @ u)[free]
         u[free] = spsolve(K[np.ix_(free, free)].tocsc(), rhs)
@@ -277,12 +272,20 @@ def fem_capacity(annulus, mesh_h: float = 0.02,
     for (f, e), lbl in labels.items():
         for c in (e, (e + 1) % 3):
             fixed[s.vertex_of((f, c))] = values[lbl]
-    tris = [tuple(s.vertex_of((f, c)) for c in range(3))
-            for f in range(len(s.faces))]
-    energy = _fem_energy(s.n_vertices, tris, s.faces, fixed)
+    energy = _fem_energy(s, fixed)
     return CapacityEstimate("fem_rayleigh", energy, math.nan,
                             meta={"mesh_h": mesh_h, "refines": refines,
                                   "n_vertices": s.n_vertices})
+
+
+def collar_fem_pair(p: SurfaceParameters | None = None, mesh_h: float = 0.06
+                    ) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """FEM capacities of the flat collar, refined to mesh_h, and of the
+    hyperbolic collar's Fermi chart on its own grid (never refined)."""
+    p = p or SurfaceParameters.paper()
+    flat = fem_capacity(_surface.build_collar_flat(p), mesh_h=mesh_h)
+    chart = fermi_chart_annulus(hyperbolic_collar_profile())
+    return flat, fem_capacity(chart, mesh_h=math.inf)
 
 
 def fermi_chart_annulus(profile: CollarProfile, n_t: int = 96,
@@ -360,9 +363,7 @@ def separation_certificate(p: SurfaceParameters | None = None,
         "separated": ok,
     }
     if include_fem:
-        flat = fem_capacity(_surface.build_collar_flat(p), mesh_h=0.06)
-        hyp = fem_capacity(fermi_chart_annulus(hyperbolic_collar_profile()),
-                           mesh_h=1.0)
+        flat, hyp = collar_fem_pair(p)
         cert["fem_flat"] = flat.value
         cert["fem_hyperbolic"] = hyp.value
     return cert

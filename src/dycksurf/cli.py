@@ -45,12 +45,9 @@ class RunConfig:
     def __post_init__(self):
         if self.digits < 15:
             raise BadInput("digits must be at least 15")
-        if self.lmax <= 0:
-            raise BadInput("lmax must be positive")
-        if self.mesh_h <= 0:
-            raise BadInput("mesh-h must be positive")
-        if self.tol <= 0:
-            raise BadInput("tol must be positive")
+        for key in ("lmax", "mesh_h", "tol"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise BadInput(f"{key.replace('_', '-')} must be finite and positive")
         if self.budget <= 0:
             raise BadInput("budget must be positive")
         if self.fmt not in ("json", "csv", "text"):
@@ -240,11 +237,7 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
                           "error_estimate": est.error_estimate,
                           "romberg": est.meta["romberg"]}
     elif target == "fem":
-        flat = capacity.fem_capacity(surface.build_collar_flat(),
-                                     mesh_h=max(cfg.mesh_h, 0.06))
-        chart = capacity.fermi_chart_annulus(
-            capacity.hyperbolic_collar_profile())
-        hyp = capacity.fem_capacity(chart, mesh_h=10.0)
+        flat, hyp = capacity.collar_fem_pair(mesh_h=max(cfg.mesh_h, 0.06))
         report["fem"] = {"flat_collar": flat.value,
                         "hyperbolic_chart": hyp.value}
     else:  # certify

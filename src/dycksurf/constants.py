@@ -118,9 +118,6 @@ class QuadraticNumber:
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.d
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- evaluation ------------------------------------------------------
 
     def to_mpf(self, dps: int | None = None) -> mp.mpf:

@@ -49,43 +49,20 @@ def _wrap(a: float, total: float) -> float:
     return 0.0 if total - a < 1e-9 else a
 
 
-# -- vertex link table --------------------------------------------------
+# -- vertex links -------------------------------------------------------
 
 
-class _LinkTable:
-    """Per-corner angular coordinates around each vertex.
+def _link_frame(s: ConeSurface, corner):
+    """(offset, E, sigma) of a corner; see ConeSurface.link_frames."""
+    row = s.link_frames[corner[0], corner[1]]
+    return float(row[0]), row[1:3], float(row[3])
 
-    corner (f, c) maps to (offset, E, sigma): the corner spans the angular
-    interval [offset, offset + corner angle] on the link circle, E is the
-    chart direction of the walk's entry edge at the corner, and sigma gives
-    the in-chart rotation sense from E toward the corner interior.
-    """
 
-    def __init__(self, s: ConeSurface):
-        self.surface = s
-        self.total = s.vertex_angles
-        self.corner: dict[tuple[int, int], tuple[float, np.ndarray, float]] = {}
-        done = set()
-        for f in range(len(s.faces)):
-            for c in range(3):
-                if (f, c) in done:
-                    continue
-                for ff, cc, entry, off in s.vertex_link((f, c)):
-                    ch = s.chart(ff)
-                    other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
-                    third = 3 - cc - other
-                    E = _unit(ch[other] - ch[cc])
-                    F = ch[third] - ch[cc]
-                    sigma = 1.0 if _cross(E, F) > 0 else -1.0
-                    self.corner[(ff, cc)] = (off, E, sigma)
-                    done.add((ff, cc))
-
-    def angle_of(self, corner, direction) -> float:
-        """Link coordinate of a chart direction emanating from the corner."""
-        off, E, sigma = self.corner[corner]
-        psi = sigma * math.atan2(_cross(E, direction), float(E @ direction))
-        v = self.surface.vertex_of(corner)
-        return _wrap(off + max(0.0, psi), self.total[v])
+def angle_of(s: ConeSurface, corner, direction) -> float:
+    """Link coordinate of a chart direction emanating from the corner."""
+    off, E, sigma = _link_frame(s, corner)
+    psi = sigma * math.atan2(_cross(E, direction), float(E @ direction))
+    return _wrap(off + max(0.0, psi), s.vertex_angles[s.vertex_of(corner)])
 
 
 # -- saddle connections -------------------------------------------------
@@ -200,7 +177,6 @@ def enumerate_saddle_connections(
     """All directed saddle connections of length <= L_max between vertices."""
     if L_max <= 0:
         raise GeodesicError("L_max must be positive")
-    link = _LinkTable(s)
     found: dict[tuple, SaddleConnection] = {}
     bud = _Budget(budget)
     try:
@@ -220,8 +196,7 @@ def enumerate_saddle_connections(
                         r = float(np.linalg.norm(P))
                         if r < 1e-9 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
                             continue
-                        sc = _saddle_connection(s, link, (f0, c0), start, (f, c),
-                                                P, r, R)
+                        sc = _saddle_connection(s, (f0, c0), start, (f, c), P, r, R)
                         found.setdefault(sc.key(), sc)
         complete = True
     except BudgetExceeded:
@@ -231,19 +206,19 @@ def enumerate_saddle_connections(
     return SaddleConnectionSet(conns, complete, bud.used)
 
 
-def _saddle_connection(s, link, src, start, dst, P, r, R) -> SaddleConnection:
+def _saddle_connection(s, src, start, dst, P, r, R) -> SaddleConnection:
     """Connection from corner src (chart point `start`) to corner dst,
     developed at P with |P| = r by a map with linear part R."""
-    a_src = link.angle_of(src, P / r)
+    a_src = angle_of(s, src, P / r)
     back = -(P / r)
-    off_t, E_t, sigma_t = link.corner[dst]
+    off_t, E_t, sigma_t = _link_frame(s, dst)
     # directions develop by the rotation part only; a reflection in the
     # developing map reverses the rotation sense
     E_dev = R @ E_t
     det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
     psi = sigma_t * det * math.atan2(_cross(E_dev, back), float(E_dev @ back))
     v_dst = s.vertex_of(dst)
-    a_dst = _wrap(off_t + max(0.0, psi), link.total[v_dst])
+    a_dst = _wrap(off_t + max(0.0, psi), s.vertex_angles[v_dst])
     return SaddleConnection(s.vertex_of(src), a_src, v_dst, a_dst, r, src[0],
                             start, tuple(P / r))
 
@@ -416,8 +391,7 @@ def _cycle_canonical(cycle: list[SaddleConnection]):
     return min(cands)
 
 
-def _build_path(s: ConeSurface, link: _LinkTable,
-                cycle: list[SaddleConnection]) -> GeodesicPath:
+def _build_path(s: ConeSurface, cycle: list[SaddleConnection]) -> GeodesicPath:
     segments: list[Segment] = []
     incidences = []
     n = len(cycle)
@@ -425,7 +399,7 @@ def _build_path(s: ConeSurface, link: _LinkTable,
         segments += trace_ray(s, sc.start_face, sc.start_point, sc.direction,
                               sc.length)
         nxt = cycle[(i + 1) % n]
-        theta = link.total[sc.v_dst]
+        theta = s.vertex_angles[sc.v_dst]
         left, right = _chain_gap(theta, sc.a_dst, nxt.a_src)
         incidences.append((sc.v_dst, left, right))
     length = sum(sc.length for sc in cycle)
@@ -442,14 +416,13 @@ def enumerate_closed_geodesics(
     if L_max <= 0:
         raise GeodesicError("L_max must be positive")
     scs = enumerate_saddle_connections(s, L_max, budget)
-    link = _LinkTable(s)
     conns = scs.connections
     by_src: dict[int, list[int]] = {}
     for i, sc in enumerate(conns):
         by_src.setdefault(sc.v_src, []).append(i)
     succ: dict[int, list[int]] = {}
     for i, sc in enumerate(conns):
-        theta = link.total[sc.v_dst]
+        theta = s.vertex_angles[sc.v_dst]
         out = []
         for j in by_src.get(sc.v_dst, []):
             left, right = _chain_gap(theta, sc.a_dst, conns[j].a_src)
@@ -482,7 +455,7 @@ def enumerate_closed_geodesics(
 
     paths = []
     for cyc in cycles:
-        path = _build_path(s, link, cyc)
+        path = _build_path(s, cyc)
         path.validate(s)
         paths.append(path)
     paths.sort(key=lambda p: (p.length, _cycle_canonical_of_path(p)))
@@ -719,16 +692,21 @@ class DistanceField:
                                           indices=np.unique(src), min_only=True)
         return self
 
+    def _solved(self) -> np.ndarray:
+        if self.node_distance is None:
+            raise GeodesicError("distance field read before solve")
+        return self.node_distance
+
     def eval_points(self, f: int, pts: np.ndarray) -> np.ndarray:
         """Distance at interior points of face f: through the nearest boundary
         node (exact up to the node spacing)."""
         ids, pos = self._face_nodes[f]
-        d = self.node_distance[ids]
+        d = self._solved()[ids]
         dm = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
         return (dm + d[None, :]).min(axis=1)
 
     def vertex_distance(self, v: int) -> float:
-        return float(self.node_distance[self._vertex_node(v)])
+        return float(self._solved()[self._vertex_node(v)])
 
 
 def _subtriangle_centroids(s: ConeSurface, f: int, m: int):

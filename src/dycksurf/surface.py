@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .constants import SurfaceParameters, relations_ok
 
@@ -32,20 +34,17 @@ class SurfaceError(ValueError):
     pass
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _components(n: int, pairs) -> np.ndarray:
+    """Component label of each of n nodes joined by the index pairs;
+    components are numbered in order of their first node."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def glued_corners(g: tuple[int, int, int, int, bool]) -> list[tuple[Corner, Corner]]:
@@ -110,26 +109,19 @@ class ConeSurface:
         return not self.boundary_slots
 
     @cached_property
-    def _corner_orbits(self) -> list[int]:
-        uf = _UnionFind(3 * len(self.faces))
-        for g in self.gluings:
-            for (f, c), (f2, c2) in glued_corners(g):
-                uf.union(3 * f + c, 3 * f2 + c2)
-        roots = [uf.find(i) for i in range(3 * len(self.faces))]
-        ids: dict[int, int] = {}
-        out = []
-        for r in roots:
-            if r not in ids:
-                ids[r] = len(ids)
-            out.append(ids[r])
-        return out
+    def vertex_ids(self) -> np.ndarray:
+        """(F, 3) vertex id of each corner; vertices are numbered in order
+        of their first corner."""
+        pairs = [(3 * f + c, 3 * f2 + c2) for g in self.gluings
+                 for (f, c), (f2, c2) in glued_corners(g)]
+        return _read_only(_components(3 * len(self.faces), pairs).reshape(-1, 3))
 
     def vertex_of(self, corner: Corner) -> int:
-        return self._corner_orbits[3 * corner[0] + corner[1]]
+        return int(self.vertex_ids[corner[0], corner[1]])
 
-    @property
+    @cached_property
     def n_vertices(self) -> int:
-        return max(self._corner_orbits) + 1
+        return int(self.vertex_ids.max()) + 1
 
     @property
     def n_edges(self) -> int:
@@ -140,22 +132,13 @@ class ConeSurface:
         return self.n_vertices - self.n_edges + len(self.faces)
 
     def face_angles(self, f: int) -> tuple[float, float, float]:
-        l = self.faces[f]
-        out = []
-        for c in range(3):
-            adj1, adj2, opp = l[c], l[(c + 2) % 3], l[(c + 1) % 3]
-            cosv = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
-            out.append(math.acos(min(1.0, max(-1.0, cosv))))
-        return tuple(out)
+        return tuple(self.corner_angles[f].tolist())
 
     @cached_property
     def vertex_angles(self) -> list[float]:
-        tot = [0.0] * self.n_vertices
-        for f in range(len(self.faces)):
-            ang = self.face_angles(f)
-            for c in range(3):
-                tot[self.vertex_of((f, c))] += ang[c]
-        return tot
+        # bincount adds in face order, as a loop over the corners would
+        return np.bincount(self.vertex_ids.ravel(), self.corner_angles.ravel(),
+                           minlength=self.n_vertices).tolist()
 
     @cached_property
     def boundary_vertices(self) -> set[int]:
@@ -206,23 +189,81 @@ class ConeSurface:
         return True
 
     def face_area(self, f: int) -> float:
-        a, b, c = self.faces[f]
-        s = (a + b + c) / 2
-        return math.sqrt(max(0.0, s * (s - a) * (s - b) * (s - c)))
+        return float(self.face_areas[f])
 
     @cached_property
     def area(self) -> float:
-        return sum(self.face_area(f) for f in range(len(self.faces)))
+        return sum(self.face_areas.tolist())
+
+    # -- per-corner tables, computed once and read-only -----------------
+
+    @cached_property
+    def corner_cos(self) -> np.ndarray:
+        """(F, 3) cosine of each corner angle by the law of cosines; the
+        angle at corner c lies between sides c and c-1, opposite side c+1."""
+        l = np.array(self.faces, dtype=float).reshape(-1, 3)
+        adj1, adj2, opp = l, l[:, [2, 0, 1]], l[:, [1, 2, 0]]
+        cosv = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
+        return _read_only(np.clip(cosv, -1.0, 1.0))
+
+    @cached_property
+    def corner_angles(self) -> np.ndarray:
+        """(F, 3) angle at each corner."""
+        # scalar math.acos: np.arccos differs from it in the last bit
+        rows = [[math.acos(x) for x in row] for row in self.corner_cos.tolist()]
+        return _read_only(np.array(rows, dtype=float).reshape(-1, 3))
+
+    @cached_property
+    def face_areas(self) -> np.ndarray:
+        """(F,) area of each face by Heron's formula."""
+        a, b, c = np.array(self.faces, dtype=float).reshape(-1, 3).T
+        s = (a + b + c) / 2
+        return _read_only(np.sqrt(np.maximum(0.0, s * (s - a) * (s - b) * (s - c))))
+
+    @cached_property
+    def charts(self) -> np.ndarray:
+        """(F, 3, 2) planar coordinates of each face: corner 0 at the origin,
+        corner 1 on the +x axis, corner 2 above it."""
+        out = np.zeros((len(self.faces), 3, 2))
+        for f, ((l0, _, l2), a0) in enumerate(
+                zip(self.faces, self.corner_angles[:, 0].tolist())):
+            out[f, 1, 0] = l0
+            out[f, 2] = l2 * math.cos(a0), l2 * math.sin(a0)
+        return _read_only(out)
+
+    @cached_property
+    def link_frames(self) -> np.ndarray:
+        """(F, 3, 4) angular frame (offset, E_x, E_y, sigma) of each corner
+        on the link circle of its vertex.
+
+        The corner spans [offset, offset + corner angle] of the link, E is
+        the unit chart direction of the link walk's entry edge at the corner,
+        and sigma = +-1 is the in-chart rotation sense from E toward the
+        corner interior.
+        """
+        out = np.zeros((len(self.faces), 3, 4))
+        done = set()
+        for f in range(len(self.faces)):
+            for c in range(3):
+                if (f, c) in done:
+                    continue
+                for ff, cc, entry, off in self.vertex_link((f, c)):
+                    ch = self.charts[ff]
+                    other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
+                    E = ch[other] - ch[cc]
+                    E = E / math.hypot(E[0], E[1])
+                    F = ch[3 - cc - other] - ch[cc]
+                    sigma = 1.0 if E[0] * F[1] - E[1] * F[0] > 0 else -1.0
+                    out[ff, cc] = off, E[0], E[1], sigma
+                    done.add((ff, cc))
+        return _read_only(out)
 
     # -- planar charts and transitions ----------------------------------
 
     def chart(self, f: int) -> np.ndarray:
-        """Planar coordinates of face f: v0 at origin, v1 on the +x axis."""
-        l0, l1, l2 = self.faces[f]
-        a0 = self.face_angles(f)[0]
-        return np.array(
-            [[0.0, 0.0], [l0, 0.0], [l2 * math.cos(a0), l2 * math.sin(a0)]]
-        )
+        """Planar coordinates of face f (read-only): v0 at origin, v1 on the
+        +x axis."""
+        return self.charts[f]
 
     def edge_transition(self, f: int, e: int):
         """Isometry mapping chart(f2) into chart(f) across the gluing at (f, e).
@@ -373,23 +414,6 @@ class ConeSurface:
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def save_obj(self, path):
-        """Per-face planar unfolding, for viewers only (not a global embedding)."""
-        lines = [f"# {self.name or 'cone surface'}: per-face planar unfolding"]
-        offset = 0.0
-        idx = 1
-        faces_out = []
-        for f in range(len(self.faces)):
-            ch = self.chart(f)
-            for x, y in ch:
-                lines.append(f"v {x + offset:.12f} {y:.12f} 0.0")
-            faces_out.append(f"f {idx} {idx + 1} {idx + 2}")
-            idx += 3
-            offset += max(self.faces[f]) + 0.1
-        lines += faces_out
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
     def structurally_equal(self, other: "ConeSurface", tol: float = 1e-12) -> bool:
         if len(self.faces) != len(other.faces) or len(self.gluings) != len(other.gluings):
             return False
@@ -533,17 +557,14 @@ def _corner_child(corner) -> Corner:
 
 def boundary_components(s: ConeSurface) -> list[list[Slot]]:
     slots = s.boundary_slots
-    uf = _UnionFind(len(slots))
-    by_vertex: dict[int, list[int]] = {}
-    for i, (f, e) in enumerate(slots):
-        for c in (e, (e + 1) % 3):
-            by_vertex.setdefault(s.vertex_of((f, c)), []).append(i)
-    for group in by_vertex.values():
-        for i in group[1:]:
-            uf.union(group[0], i)
+    n = len(slots)
+    # node i is boundary slot i, node n + v is vertex v; a slot joins its ends
+    pairs = [(i, n + s.vertex_of((f, c)))
+             for i, (f, e) in enumerate(slots) for c in (e, (e + 1) % 3)]
+    labels = _components(n + s.n_vertices, pairs)
     comps: dict[int, list[Slot]] = {}
     for i, slot in enumerate(slots):
-        comps.setdefault(uf.find(i), []).append(slot)
+        comps.setdefault(labels[i], []).append(slot)
     return sorted(comps.values())
 
 

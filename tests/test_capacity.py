@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
+from dycksurf import capacity as cap
 from dycksurf import surface as sf
 from dycksurf.capacity import (
     CapacityError,
@@ -194,6 +196,39 @@ class TestFemCapacity:
         assert labels == collar.marks["boundary_labels"]
         assert (fem_capacity(loaded, mesh_h=0.12).value
                 == fem_capacity(collar, mesh_h=0.12).value)
+
+    @pytest.mark.parametrize("build, mesh_h", [
+        (sf.build_collar_flat, 0.12),
+        (lambda: sf.build_round_annulus(1.0, 2.0), 0.5),
+        (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12), 1.0)])
+    def test_assembly_matches_corner_loop(self, build, mesh_h, monkeypatch):
+        # the per-corner law-of-cosines loop the vectorized assembly replaced
+        stiffness = []
+
+        def record(*args, **kwargs):
+            stiffness.append(coo_matrix(*args, **kwargs))
+            return stiffness[-1]
+
+        monkeypatch.setattr(cap, "coo_matrix", record)
+        s = build()
+        est = fem_capacity(s, mesh_h=mesh_h)
+        for _ in range(est.meta["refines"]):
+            s = sf.subdivide(s)
+        rows, cols, vals = [], [], []
+        for f, ls in enumerate(s.faces):
+            vs = [s.vertex_of((f, c)) for c in range(3)]
+            for c in range(3):
+                adj1, adj2, opp = ls[c], ls[(c + 2) % 3], ls[(c + 1) % 3]
+                cosang = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
+                cosang = max(-1.0, min(1.0, cosang))
+                w = 0.5 * cosang / math.sqrt(max(0.0, 1.0 - cosang * cosang))
+                a, b = vs[(c + 1) % 3], vs[(c + 2) % 3]
+                rows += [a, b, a, b]
+                cols += [a, b, b, a]
+                vals += [w, w, -w, -w]
+        (K,) = stiffness
+        assert K.row.tolist() == rows and K.col.tolist() == cols
+        assert K.data.tolist() == vals
 
     def test_non_annulus_rejected(self):
         with pytest.raises(CapacityError):

@@ -82,6 +82,15 @@ class TestConfigFile:
     def test_bad_flag_exit_code(self, capsys):
         assert main(["--digits", "10", "constants"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["lmax", "mesh-h", "tol"])
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, key, value):
+        assert main([f"--{key}", value, "constants"]) == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(cfgfile), "constants"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestConstants:
     def test_json_registry(self, capsys):
@@ -173,6 +182,15 @@ class TestHexoptAndCapacity:
         assert code == 0
         assert rep["separation"]["separated"]
 
+    def test_capacity_fem_matches_certificate(self, capsys):
+        code, rep = run_json(capsys, "capacity", "fem")
+        assert code == 0
+        code, cert = run_json(capsys, "capacity", "certify", "--fem")
+        assert code == 0
+        assert rep["fem"] == {
+            "flat_collar": cert["separation"]["fem_flat"],
+            "hyperbolic_chart": cert["separation"]["fem_hyperbolic"]}
+
     def test_capacity_certify_failed_separation(self, capsys, monkeypatch):
         # margins 0.0069 and 0.0046 do not clear a 0.01 tolerance
         monkeypatch.setattr(capacity, "separation_certificate", functools.partial(
@@ -255,6 +273,17 @@ class TestExport:
         recs = json.loads(out.read_text())
         lengths = [r["length"] for r in recs]
         assert lengths == sorted(lengths) and len(recs) == 13
+
+    def test_geodesics_golden(self, tmp_path, capsys):
+        out = tmp_path / "geos.json"
+        assert main(["export", "geodesics", "--out", str(out)]) == 0
+        recs = json.loads(out.read_text())
+        with open(os.path.join(GOLDEN, "extremal_geodesics.json")) as fh:
+            golden = json.load(fh)
+        assert [(r["faces"], r["cone_points"], r["type"]) for r in recs] == [
+            (g["faces"], g["cone_points"], g["type"]) for g in golden]
+        for r, g in zip(recs, golden):
+            assert abs(r["length"] - g["length"]) <= 1e-12
 
     def test_profile_grid(self, tmp_path, capsys):
         out = tmp_path / "profile.json"

@@ -327,6 +327,13 @@ class TestDistanceFieldAndSublevel:
         assert [graph[k] for k in chords] == pytest.approx(
             list(chords.values()), rel=1e-15)
 
+    def test_read_before_solve_refused(self):
+        field = DistanceField(sf.build_flat_torus(), 0.1)
+        with pytest.raises(GeodesicError):
+            field.vertex_distance(0)
+        with pytest.raises(GeodesicError):
+            field.eval_points(0, np.array([[0.5, 0.2]]))
+
     def test_bad_sources_refused(self, dyck):
         field = DistanceField(dyck, 0.1)
         for v in (-1, dyck.n_vertices):

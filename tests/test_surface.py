@@ -48,6 +48,57 @@ class TestConeSurfaceBasics:
         s = ConeSurface([(2.0, 3.0, 4.0)], [])
         assert abs(sum(s.face_angles(0)) - math.pi) < 1e-12
 
+    def test_tables_are_read_only_and_computed_once(self, dyck):
+        with pytest.raises(ValueError):
+            dyck.chart(0)[2, 0] = 0.0
+        for name in ("vertex_ids", "corner_cos", "corner_angles", "face_areas",
+                     "charts", "link_frames"):
+            table = getattr(dyck, name)
+            assert getattr(dyck, name) is table
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+
+    @pytest.mark.parametrize("build", [
+        sf.build_extremal_dyck, sf.build_collar_flat,
+        lambda: sf.build_round_annulus(1.0, 2.0),
+        lambda: sf.subdivide(sf.build_flat_klein_bottle(1.0, 1.5))])
+    def test_tables_match_scalar_loops(self, build):
+        s = build()
+        F = len(s.faces)
+        parent = list(range(3 * F))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for g in s.gluings:
+            for (f, c), (f2, c2) in sf.glued_corners(g):
+                a, b = find(3 * f + c), find(3 * f2 + c2)
+                parent[max(a, b)] = min(a, b)
+        ids: dict[int, int] = {}
+        ref_ids = [ids.setdefault(find(i), len(ids)) for i in range(3 * F)]
+        assert s.vertex_ids.ravel().tolist() == ref_ids
+        angles = []
+        for f, l in enumerate(s.faces):
+            row = []
+            for c in range(3):
+                adj1, adj2, opp = l[c], l[(c + 2) % 3], l[(c + 1) % 3]
+                cosv = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
+                row.append(math.acos(min(1.0, max(-1.0, cosv))))
+            angles.append(row)
+            a, b, c = l
+            h = (a + b + c) / 2
+            assert s.face_area(f) == math.sqrt(max(0.0, h * (h - a) * (h - b) * (h - c)))
+            ch = [[0.0, 0.0], [l[0], 0.0],
+                  [l[2] * math.cos(row[0]), l[2] * math.sin(row[0])]]
+            assert s.chart(f).tolist() == ch
+        assert s.corner_angles.tolist() == angles
+        tot = [0.0] * s.n_vertices
+        for i, v in enumerate(ref_ids):
+            tot[v] += angles[i // 3][i % 3]
+        assert s.vertex_angles == tot
+
     def test_chart_lengths(self):
         s = ConeSurface([(2.0, 3.0, 4.0)], [])
         ch = s.chart(0)
@@ -212,12 +263,6 @@ class TestExtremalSurface:
         path2 = tmp_path / "dyck2.json"
         s2.save_json(path2)
         assert path.read_bytes() == path2.read_bytes()
-
-    def test_obj_export(self, dyck, tmp_path):
-        path = tmp_path / "dyck.obj"
-        dyck.save_obj(path)
-        text = path.read_text()
-        assert text.count("\nf ") == len(dyck.faces)
 
 
 class TestCutAndCollar:
