@@ -306,22 +306,17 @@ def fermi_chart_annulus(profile: CollarProfile, n_t: int = 96,
     if min(half) <= 0:
         raise CapacityError("profile too narrow for the angular chart")
 
-    def vid(i: int, j: int) -> int:
-        return (i % n_t) * (n_s + 1) + j
-
-    def coord(i: int, j: int):
-        return (ts[i], half[i] * (2.0 * j / n_s - 1.0))
-
-    tris, lengths = [], []
-    for i in range(n_t):
-        for j in range(n_s):
-            quad = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            for tri in ([quad[0], quad[1], quad[2]],
-                        [quad[0], quad[2], quad[3]]):
-                tris.append(tuple(vid(a, b) for a, b in tri))
-                # vertex ids wrap in t, so lengths come from face coordinates
-                lengths.append(_surface.side_lengths(
-                    [np.array(coord(a, b)) for a, b in tri]))
+    # grid point (i, j) sits at (t_i, half_i (2 j / n_s - 1)); each grid
+    # square (i, j) is split into the triangles below, by corner offsets
+    sigma = np.array(half)[:, None] * (2.0 * np.arange(n_s + 1) / n_s - 1.0)
+    grid = np.stack(np.broadcast_arrays(np.array(ts)[:, None], sigma), axis=-1)
+    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    i, j = np.meshgrid(np.arange(n_t), np.arange(n_s), indexing="ij")
+    ci = (i[..., None, None] + offsets[..., 0]).reshape(-1, 3)
+    cj = (j[..., None, None] + offsets[..., 1]).reshape(-1, 3)
+    # vertex ids wrap in t, so lengths come from the grid coordinates
+    lengths = _surface.side_lengths(grid[ci, cj])
+    tris = ((ci % n_t) * (n_s + 1) + cj).tolist()
     gluings, boundary = _surface.match_vertex_edges(tris)
     # a boundary slot runs along sigma = -/+ half, at grid row j = 0 or n_s
     labels = {(f, e): "bottom" if tris[f][e] % (n_s + 1) == 0 else "top"

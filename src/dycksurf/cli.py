@@ -268,7 +268,7 @@ def hexopt_stage(p, area_closed: float) -> tuple[dict, list[dict]]:
     ok = abs(hx["area"] - hx["closed_form"]) <= 1e-8
     ok &= abs(hx["angles"][0] - hx["argmin_target"][0]) <= 1e-4
     ok &= abs(hx["angles"][1] - hx["argmin_target"][1]) <= 1e-4
-    _check(checks, "hexagon minimum", hx["area"], ok, 1e-8, "grid")
+    _check(checks, "hexagon minimum", hx["area"], ok, 1e-8)
     tr = cert["tradeoff"]
     ok = abs(tr["h_star"] - p.h) <= 1e-8
     ok &= abs(tr["stationarity_residual"]) <= 1e-9

@@ -1,13 +1,14 @@
 """Area optimization for the extremal flat surface.
 
-Three certified computations:
+Three certified computations, each in closed form:
 
 * a lower bound for the area of a hexagonal Voronoi cell in terms of the
-  three apex distances and apex angles, and its global minimization over
-  feasible angle triples;
+  three apex distances and apex angles, and its global minimum over
+  feasible angle triples: the unique KKT point of a strictly convex
+  function, located by a bracketed bisection in one variable;
 * the one-dimensional tradeoff between the area spent on the Möbius band
-  and the area of the three hexagonal cells, whose minimizer fixes the
-  trapezoid height h;
+  and the area of the three hexagonal cells, whose exact equilibrium
+  h^2 = (8 - sqrt(19))/72 in Q(sqrt(19)) fixes the trapezoid height h;
 * floor values for the total area under the alternative cell-graph
   shapes, each strictly above the extremal area.
 """
@@ -17,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
-
-DEGENERATE_ANGLE = 1e-6
+from .constants import H_SQUARED
 
 
 class HexOptError(ValueError):
@@ -42,16 +40,14 @@ class HexagonSpec:
     def __post_init__(self):
         if len(self.d) != 3 or len(self.alpha) != 3:
             raise HexOptError("need three distances and three angles")
+        if not all(math.isfinite(x) for x in (*self.d, *self.alpha)):
+            raise HexOptError("distances and angles must be finite")
         if any(di <= 0 for di in self.d):
             raise HexOptError("distances must be positive")
         if any(a <= 0 for a in self.alpha):
             raise HexOptError("angles must be positive")
         if abs(sum(self.alpha) - math.pi) > 1e-12:
             raise HexOptError("angles must sum to pi")
-
-    @property
-    def degenerate(self) -> bool:
-        return any(a <= DEGENERATE_ANGLE for a in self.alpha)
 
 
 def hex_area_bound(spec: HexagonSpec) -> float:
@@ -62,91 +58,57 @@ def hex_area_bound(spec: HexagonSpec) -> float:
                for di, ai in zip(spec.d, spec.alpha))
 
 
-def _bound_grid(d, a1, a2):
-    """Vectorized bound on arrays of (alpha1, alpha2); alpha3 = pi-a1-a2."""
-    a3 = math.pi - a1 - a2
-    return (2 * d[0] ** 2 * np.tan(a1 / 2)
-            + 2 * d[1] ** 2 * np.tan(a2 / 2)
-            + 2 * d[2] ** 2 * np.tan(a3 / 2))
-
-
 @dataclass
 class HexMinimum:
     angles: tuple[float, float, float]
     area: float
-    grid_area: float            # raw minimum of the dense-grid oracle
-    grid: float
-    convexity_ok: bool          # tan(x/2) second differences positive
-    symmetric_reduction_ok: bool  # averaging alpha1, alpha3 never increases
 
 
-def _check_convexity(samples: int = 2000) -> bool:
-    x = np.linspace(0.01, math.pi - 0.01, samples)
-    f = np.tan(x / 2)
-    return bool((f[:-2] + f[2:] - 2 * f[1:-1] > 0).all())
-
-
-def _grid_min(d, lo1, hi1, lo2, hi2, step):
-    a1 = np.arange(lo1, hi1, step)
-    a2 = np.arange(lo2, hi2, step)
-    A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-    ok = math.pi - A1 - A2 > DEGENERATE_ANGLE
-    vals = np.where(ok, _bound_grid(d, A1, A2), np.inf)
-    i = int(np.argmin(vals))  # first occurrence = lexicographic tie-break
-    i1, i2 = np.unravel_index(i, vals.shape)
-    return float(A1[i1, i2]), float(A2[i1, i2]), float(vals[i1, i2])
-
-
-def minimize_hex(d=(0.25, None, 0.25), grid: float = 1e-3) -> HexMinimum:
+def minimize_hex(d) -> HexMinimum:
     """Global minimum of hex_area_bound over angle triples summing to pi.
 
-    Dense 2-D grid scan (the independent oracle), local grid refinement,
-    then a smooth polish.  When d1 == d3 the convexity of tan(x/2) makes
-    symmetric triples alpha1 = alpha3 dominant; that reduction is verified
-    on sampled asymmetric triples rather than assumed.
+    f(alpha) = sum 2 d_i^2 tan(alpha_i / 2) is strictly convex on the
+    simplex alpha_i > 0, sum alpha_i = pi, because tan(x/2) is strictly
+    convex on (0, pi).  So a KKT point, d_i^2 sec^2(alpha_i / 2) = lambda
+    for all i, is the unique global minimum.  With R = sqrt(lambda) it
+    reads alpha_i = 2 arccos(d_i / R), and the constraint becomes
+
+        g(R) = sum_i 2 arccos(d_i / R) = pi.
+
+    g increases in R, so the root is unique.  Let d_k be the largest
+    distance.  At R = 2 d_k / sqrt(3) every term is at least
+    2 arccos(sqrt(3)/2) = pi/3, so g >= pi; at R = d_k the term of d_k
+    vanishes, and g(d_k) < pi exactly when d_k^2 < d_i^2 + d_j^2.  The
+    root then lies in [d_k, 2 d_k / sqrt(3)] and bisection finds it.
+    Otherwise there is no interior minimum: the infimum 4 d_i d_j is
+    approached as alpha_k -> 0, no HexagonSpec attains it, and
+    HexOptError is raised.
     """
-    if grid < 1e-4:
-        raise HexOptError("grid resolution below 1e-4 is not supported")
     d = tuple(float(x) for x in d)
-    if any(x <= 0 for x in d):
-        raise HexOptError("distances must be positive")
-    convexity_ok = _check_convexity()
-
-    b1, b2, coarse = _grid_min(d, grid, math.pi - grid, grid,
-                               math.pi - grid, grid)
-    lo1, hi1 = max(b1 - 2 * grid, DEGENERATE_ANGLE), b1 + 2 * grid
-    lo2, hi2 = max(b2 - 2 * grid, DEGENERATE_ANGLE), b2 + 2 * grid
-    r1, r2, grid_area = _grid_min(d, lo1, hi1, lo2, hi2, 1e-5)
-
-    def f(x):
-        a1, a2 = x
-        a3 = math.pi - a1 - a2
-        if min(a1, a2, a3) <= DEGENERATE_ANGLE:
-            return math.inf
-        return float(_bound_grid(d, a1, a2))
-
-    res = optimize.minimize(f, [r1, r2], method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-14})
-    a1, a2 = (float(v) for v in res.x)
-    a3 = math.pi - a1 - a2
-    area = float(res.fun)
-    if area > grid_area + 1e-12:
-        a1, a2, a3, area = r1, r2, math.pi - r1 - r2, grid_area
-
-    sym_ok = True
-    if abs(d[0] - d[2]) < 1e-15:
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            w = rng.dirichlet((1.0, 1.0, 1.0)) * math.pi
-            if min(w) <= 2 * DEGENERATE_ANGLE:
-                continue
-            m = (w[0] + w[2]) / 2
-            asym = hex_area_bound(HexagonSpec(d, tuple(w)))
-            symm = hex_area_bound(HexagonSpec(d, (m, w[1], m)))
-            if symm > asym + 1e-12:
-                sym_ok = False
-    return HexMinimum((a1, a2, a3), area, grid_area, grid,
-                      convexity_ok, sym_ok)
+    if len(d) != 3 or not all(math.isfinite(x) and x > 0 for x in d):
+        raise HexOptError("need three finite positive distances")
+    di, dj, dk = sorted(d)
+    if dk * dk >= di * di + dj * dj:
+        raise HexOptError(f"no interior minimum for d = {d}: the infimum "
+                          f"4 d_i d_j = {4 * di * dj!r} needs alpha_k = 0")
+    # the bracket's relative width is 2/sqrt(3) - 1 < 2^-2, so 64 halvings
+    # reach the float resolution; the loop stops once the midpoint does
+    lo, hi = dk, 2 * dk / math.sqrt(3)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if sum(2 * math.acos(x / mid) for x in d) < math.pi:
+            lo = mid
+        else:
+            hi = mid
+    a = [2 * math.acos(x / hi) for x in d]
+    # the smallest distance has the largest, best-conditioned angle; taking
+    # it from the constraint makes the triple sum to pi near the boundary
+    i = d.index(di)
+    a[i] = math.pi - a[i - 1] - a[i - 2]
+    a = tuple(a)
+    return HexMinimum(a, hex_area_bound(HexagonSpec(d, a)))
 
 
 # -- Moebius band / hexagon tradeoff ------------------------------------
@@ -158,42 +120,27 @@ def tradeoff_area(x: float) -> float:
     return 2 * (0.5 - x) + 3 * x * math.sqrt(1 - 4 * x * x)
 
 
-def _tradeoff_slope(x: float) -> float:
-    return -2 + (3 - 24 * x * x) / math.sqrt(1 - 4 * x * x)
-
-
 @dataclass
 class TradeoffResult:
     h_star: float
     area: float
     residual: float             # 576 u^2 - 128 u + 5 at u = h*^2
-    golden_h: float             # bracketing-search estimate
-    slope_root_h: float         # root of the derivative
-    boundary_degenerate: bool   # x = 1/4 collapses the hexagons
 
 
-def optimize_mobius_tradeoff(lo: float = 1e-6,
-                             hi: float = 0.25 - 1e-9) -> TradeoffResult:
+def optimize_mobius_tradeoff() -> TradeoffResult:
     """Equilibrium height of the total-area tradeoff on (0, 1/4).
 
-    The tradeoff has a unique interior critical point: the height at which
-    giving area to the collar and giving area to the hexagonal cells
-    balance.  Two independent routes must agree: a derivative-free
-    bracketing search for the interior extremum and a bisection root of
-    the closed-form slope.  The returned residual of 576 u^2 - 128 u + 5
-    at u = h*^2 certifies stationarity exactly.
+    The slope -2 + (3 - 24 u) / sqrt(1 - 4 u), u = x^2, vanishes exactly
+    when 3 - 24 u > 0 and (3 - 24 u)^2 = 4 (1 - 4 u), that is
+    576 u^2 - 128 u + 5 = 0.  Its roots are (8 -/+ sqrt(19))/72; the
+    larger one exceeds 1/8, where 3 - 24 u < 0, so the unique equilibrium
+    is u = H_SQUARED = (8 - sqrt(19))/72 in Q(sqrt(19)).  The returned
+    residual of the quadratic at the float h*^2 records how closely the
+    float height satisfies it.
     """
-    gold = optimize.minimize_scalar(lambda x: -tradeoff_area(x),
-                                    bounds=(lo, hi), method="bounded",
-                                    options={"xatol": 1e-12})
-    root = float(optimize.brentq(_tradeoff_slope, 0.1, 0.24, xtol=1e-15))
-    if abs(gold.x - root) > 1e-6:
-        raise HexOptError(
-            f"optimizer routes disagree: {gold.x} vs {root}")
-    u = root * root
-    residual = 576 * u * u - 128 * u + 5
-    return TradeoffResult(root, tradeoff_area(root), residual,
-                          float(gold.x), root, boundary_degenerate=True)
+    h = math.sqrt(float(H_SQUARED))
+    u = h * h
+    return TradeoffResult(h, tradeoff_area(h), 576 * u * u - 128 * u + 5)
 
 
 # -- floors for the alternative cell decompositions ---------------------
@@ -238,11 +185,8 @@ def hexopt_certificate(h: float, theta: float,
         "hex_min": {
             "angles": list(hx.angles),
             "area": hx.area,
-            "grid_area": hx.grid_area,
             "argmin_target": [theta, math.pi - 2 * theta, theta],
             "closed_form": h * math.sqrt(1 - 4 * h * h),
-            "convexity_ok": hx.convexity_ok,
-            "symmetric_reduction_ok": hx.symmetric_reduction_ok,
         },
         "tradeoff": {
             "h_star": tr.h_star,

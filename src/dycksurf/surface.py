@@ -466,14 +466,6 @@ def cut_along_graph(s: ConeSurface, g: CutGraph) -> ConeSurface:
     return ConeSurface(s.faces, keep, name=s.name + "|cut", marks=marks)
 
 
-def reglue(s_cut: ConeSurface, removed: list[tuple]) -> ConeSurface:
-    return ConeSurface(
-        s_cut.faces,
-        list(s_cut.gluings) + list(removed),
-        name=s_cut.name.removesuffix("|cut"),
-    )
-
-
 # -- orientation double cover ------------------------------------------
 
 
@@ -596,14 +588,17 @@ def surface_from_vertex_faces(coords, faces, name: str = "", marks=None) -> Cone
     """
     coords = np.asarray(coords, dtype=float)
     tris = [tuple(tri) for tri in faces]
-    lengths = [side_lengths(coords[list(tri)]) for tri in tris]
     gluings, _ = match_vertex_edges(tris)
+    lengths = side_lengths(coords[np.array(tris, dtype=int).reshape(-1, 3)])
     return ConeSurface(lengths, gluings, name=name, marks=marks)
 
 
-def side_lengths(pts) -> tuple[float, float, float]:
-    """Lengths of slots 0, 1, 2 of the planar triangle pts[0], pts[1], pts[2]."""
-    return tuple(float(np.linalg.norm(pts[(i + 1) % 3] - pts[i])) for i in range(3))
+def side_lengths(pts) -> np.ndarray:
+    """Side lengths (F, 3) of the triangles pts (F, 3, dim): column e is the
+    length of slot e, from corner e to corner e + 1."""
+    d = np.roll(pts, -1, axis=1) - pts
+    # the batched dot product rounds exactly as np.linalg.norm of one side
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
 def match_vertex_edges(tris) -> tuple[list[tuple], list[Slot]]:
@@ -945,21 +940,3 @@ def isometries(s1: ConeSurface, s2: ConeSurface, tol: float = 1e-9, limit: int |
 
 def are_isometric(s1: ConeSurface, s2: ConeSurface, tol: float = 1e-9) -> bool:
     return bool(isometries(s1, s2, tol=tol, limit=1))
-
-
-def check_symmetry(s: ConeSurface, tol: float = 1e-9) -> dict:
-    """Count combinatorial self-isometries and report the group order."""
-    autos = isometries(s, s, tol=tol)
-    return {
-        "order": len(autos),
-        "orientation_preserving": None if not autos else sum(
-            1 for a in autos if _map_preserves_orientation(s, a)
-        ),
-    }
-
-
-def _map_preserves_orientation(s: ConeSurface, fmap) -> bool | None:
-    if not s.orientable:
-        return None
-    g0, perm = fmap[0]
-    return perm in _PERMS[:3]

@@ -266,6 +266,30 @@ class TestFermiChart:
         with pytest.raises(CapacityError):
             fermi_chart_annulus(hyperbolic_collar_profile(), 2, 1)
 
+    def test_faces_match_per_face_loop(self):
+        # the grid-array chart equals, bit for bit, one built face by face
+        # with np.linalg.norm of each side
+        prof = hyperbolic_collar_profile()
+        n_t, n_s = 96, 24
+        ts = [prof.ell * i / n_t for i in range(n_t + 1)]
+        half = [gudermann(prof.a(t)) - math.pi / 2.0 for t in ts]
+        faces, tris = [], []
+        for i in range(n_t):
+            for j in range(n_s):
+                quad = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                for tri in ([quad[0], quad[1], quad[2]],
+                            [quad[0], quad[2], quad[3]]):
+                    pts = [np.array((ts[a], half[a] * (2.0 * b / n_s - 1.0)))
+                           for a, b in tri]
+                    faces.append(tuple(
+                        float(np.linalg.norm(pts[(k + 1) % 3] - pts[k]))
+                        for k in range(3)))
+                    tris.append(tuple((a % n_t) * (n_s + 1) + b
+                                      for a, b in tri))
+        ann = fermi_chart_annulus(prof, n_t, n_s)
+        assert ann.faces == faces
+        assert ann.gluings == sf.match_vertex_edges(tris)[0]
+
 
 class TestSeparation:
     def test_certificate(self):

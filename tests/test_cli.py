@@ -213,6 +213,7 @@ class TestVerify:
         assert all(c["pass"] for c in rep["checks"])
         assert all("provenance" in c and "tolerance" in c
                    for c in rep["checks"])
+        assert by_name["hexagon minimum"]["provenance"] == "closed-form"
 
     def test_deterministic_output(self, capsys):
         _, out1 = run(capsys, "verify")

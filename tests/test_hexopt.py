@@ -1,9 +1,12 @@
+import inspect
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from dycksurf.constants import H_SQUARED, SQRT19, SurfaceParameters
 from dycksurf.hexopt import (
     CaseBound,
     HexagonSpec,
@@ -32,10 +35,20 @@ def rand_angles(rng):
             return a
 
 
+def rand_distances(rng):
+    """A distance triple whose largest entry has d_k^2 < 0.9 (d_i^2 + d_j^2),
+    so the minimum is interior and away from the degenerate boundary."""
+    while True:
+        d = tuple(rng.uniform(0.05, 1.0) for _ in range(3))
+        di, dj, dk = sorted(d)
+        if dk * dk < 0.9 * (di * di + dj * dj):
+            return d
+
+
 class TestHexagonSpec:
     def test_valid(self):
         s = HexagonSpec(PAPER_D, (THETA, math.pi - 2 * THETA, THETA))
-        assert not s.degenerate
+        assert s.d == PAPER_D
 
     def test_angle_sum_enforced(self):
         with pytest.raises(HexOptError):
@@ -45,11 +58,12 @@ class TestHexagonSpec:
         with pytest.raises(HexOptError):
             HexagonSpec((0.25, -0.1, 0.25), (math.pi / 3,) * 3)
 
-    def test_degenerate_flag(self):
-        eps = 5e-7
-        s = HexagonSpec(PAPER_D, (math.pi / 2 - eps, 2 * eps,
-                                  math.pi / 2 - eps))
-        assert s.degenerate
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(HexOptError):
+            HexagonSpec((0.25, bad, 0.25), (math.pi / 3,) * 3)
+        with pytest.raises(HexOptError):
+            HexagonSpec(PAPER_D, (bad, math.pi / 3, math.pi / 3))
 
 
 class TestHexAreaBound:
@@ -93,13 +107,19 @@ class TestHexAreaBound:
 class TestMinimizeHex:
     def test_paper_distances(self):
         res = minimize_hex(PAPER_D)
-        assert res.convexity_ok and res.symmetric_reduction_ok
         target = (THETA, math.pi - 2 * THETA, THETA)
         for a, t in zip(res.angles, target):
             assert a == pytest.approx(t, abs=1e-4)
         assert res.area == pytest.approx(HEX_MIN, abs=1e-8)
         assert res.area == pytest.approx(0.2008510, abs=1e-6)
-        assert res.grid_area == pytest.approx(HEX_MIN, abs=1e-7)
+
+    def test_paper_angles_exact(self):
+        h = SurfaceParameters.paper().h
+        res = minimize_hex((0.25, h, 0.25))
+        theta = 2 * math.asin(2 * h)
+        assert res.angles[0] == pytest.approx(theta, abs=1e-15)
+        assert res.angles[2] == pytest.approx(theta, abs=1e-15)
+        assert res.angles[1] == pytest.approx(math.pi - 2 * theta, abs=1e-15)
 
     def test_symmetric_distances_equilateral(self):
         res = minimize_hex((0.25, 0.25, 0.25))
@@ -112,15 +132,41 @@ class TestMinimizeHex:
         for _ in range(50):
             a = rand_angles(rng)
             assert res.area <= hex_area_bound(HexagonSpec(PAPER_D, a)) + 1e-12
+        # random distances: the KKT relation d_i^2 sec^2(alpha_i/2) = lambda
+        # holds, and no sampled angle triple does better
+        for _ in range(50):
+            d = rand_distances(rng)
+            res = minimize_hex(d)
+            lam = [di * di / math.cos(ai / 2) ** 2
+                   for di, ai in zip(d, res.angles)]
+            assert max(lam) - min(lam) <= 1e-12 * max(lam)
+            for _ in range(10):
+                a = rand_angles(rng)
+                assert res.area <= hex_area_bound(HexagonSpec(d, a)) + 1e-12
 
-    def test_grid_phase_invariance(self):
-        r1 = minimize_hex(PAPER_D, grid=1e-3)
-        r2 = minimize_hex(PAPER_D, grid=1.3e-3)
-        assert r1.area == pytest.approx(r2.area, abs=1e-10)
+    def test_distances_required(self):
+        d = inspect.signature(minimize_hex).parameters["d"]
+        assert d.default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            minimize_hex()
 
-    def test_too_fine_grid_refused(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distances(self, bad):
         with pytest.raises(HexOptError):
-            minimize_hex(PAPER_D, grid=1e-5)
+            minimize_hex((0.25, bad, 0.25))
+
+    @pytest.mark.parametrize("d", [(1.0, 0.1, 0.1), (3.0, 4.0, 5.0),
+                                   (0.1, 0.1, 1.0)])
+    def test_no_interior_minimum(self, d):
+        # d_k^2 >= d_i^2 + d_j^2: the infimum 4 d_i d_j needs alpha_k = 0
+        with pytest.raises(HexOptError):
+            minimize_hex(d)
+
+    def test_near_boundary_below_infimum(self):
+        res = minimize_hex((3.0, 4.0, 4.999))
+        assert sum(res.angles) == pytest.approx(math.pi, abs=1e-12)
+        assert 0 < res.angles[2] < 0.01
+        assert res.area < 4 * 3.0 * 4.0
 
 
 class TestTradeoff:
@@ -131,7 +177,23 @@ class TestTradeoff:
                                                 abs=1e-8)
         assert abs(res.residual) <= 1e-9
         assert res.area == pytest.approx(AREA_EXTREMAL, abs=1e-9)
-        assert res.golden_h == pytest.approx(res.slope_root_h, abs=1e-6)
+
+    def test_exact_equilibrium(self):
+        u = H_SQUARED
+        q = 576 * u * u - 128 * u + 5
+        assert q.a == q.b == 0
+        # the other root (8 + sqrt 19)/72 has 3 - 24u < 0: not a slope zero
+        other = (8 + SQRT19) / 72
+        q = 576 * other * other - 128 * other + 5
+        assert q.a == q.b == 0
+        gap = other - Fraction(1, 8)  # (sqrt(19) - 1)/72
+        assert gap.b > 0 and gap.b * gap.b * 19 > gap.a * gap.a
+        res = optimize_mobius_tradeoff()
+        assert res.h_star == math.sqrt(float(H_SQUARED))
+        assert res.h_star == SurfaceParameters.paper().h
+
+    def test_takes_no_arguments(self):
+        assert not inspect.signature(optimize_mobius_tradeoff).parameters
 
     def test_interior_extremality(self):
         res = optimize_mobius_tradeoff()
@@ -139,8 +201,6 @@ class TestTradeoff:
         assert tradeoff_area(res.h_star) > tradeoff_area(res.h_star + 0.01)
 
     def test_boundary_degenerate(self):
-        res = optimize_mobius_tradeoff()
-        assert res.boundary_degenerate
         # the hexagon contribution x*sqrt(1-4x^2) collapses at x = 1/2
         assert 0.5 * math.sqrt(1 - 4 * 0.25) == 0.0
         assert tradeoff_area(0.25) == pytest.approx(
@@ -169,6 +229,7 @@ class TestCertificate:
         cert = hexopt_certificate(H, THETA, AREA_EXTREMAL)
         blob = json.loads(json.dumps(cert))
         assert set(blob) == {"hex_min", "tradeoff", "cases"}
-        assert blob["hex_min"]["convexity_ok"]
+        assert set(blob["hex_min"]) == {"angles", "area", "argmin_target",
+                                        "closed_form"}
         assert abs(blob["tradeoff"]["stationarity_residual"]) <= 1e-9
         assert all(v["margin"] >= 0.006 for v in blob["cases"].values())

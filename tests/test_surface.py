@@ -244,7 +244,7 @@ class TestExtremalSurface:
             assert np.allclose(R @ qm + t, pm, atol=1e-9)
 
     def test_symmetry_order(self, dyck):
-        assert sf.check_symmetry(dyck)["order"] == 12
+        assert len(sf.isometries(dyck, dyck)) == 12
 
     def test_double_cover_genus_two(self, dyck):
         c = sf.orientation_double_cover(dyck)
@@ -271,7 +271,7 @@ class TestCutAndCollar:
         cut = sf.cut_along_graph(dyck, g)
         removed = [r for r in dyck.gluings if r not in cut.gluings]
         assert len(removed) == 6
-        back = sf.reglue(cut, removed)
+        back = ConeSurface(cut.faces, cut.gluings + removed)
         assert back.structurally_equal(dyck)
 
     def test_cut_surface_shape(self, dyck):
@@ -384,7 +384,7 @@ class TestIsometries:
 
     def test_klein_automorphisms_nonempty(self):
         k = sf.build_flat_klein_bottle()
-        assert sf.check_symmetry(k)["order"] >= 1
+        assert len(sf.isometries(k, k)) >= 1
 
     def test_identity_always_found(self, dyck):
         maps = sf.isometries(dyck, dyck, limit=None)
