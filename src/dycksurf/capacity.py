@@ -3,11 +3,11 @@
 The flat collar (two copies of the hexagonal annulus glued along the
 soul) admits a distance-function test map giving a closed-form upper
 bound for its capacity.  The hyperbolic collar of the constant-curvature
-surface, described by its Fermi half-width profile, admits a
-width-integral lower bound.  An independent piecewise-linear finite
-element solver cross-checks both, and the separation certificate shows
-the two capacities straddle 2.29, so the underlying conformal annuli are
-not equivalent.
+surface, described by its Fermi half-width profile, admits a width-integral
+lower bound: Romberg evaluates it inside the lower and upper sums of its
+monotone integrand.  An independent piecewise-linear finite element solver
+cross-checks both, and the separation certificate shows the two capacities
+straddle 2.29, so the underlying conformal annuli are not equivalent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -51,53 +50,60 @@ def fermi_half_width(t: float, ell: float) -> float:
     return math.atanh(arg)
 
 
+def _mirror(t: float, piece: float) -> float:
+    """Reflect t about the multiples of piece into [0, piece]."""
+    x = t % (2.0 * piece)
+    return min(x, 2.0 * piece - x)
+
+
 @dataclass
 class CollarProfile:
     """Annulus in Fermi coordinates: soul length ell, upper half-width
-    a(t) > 0 and lower half-width b(t) < 0."""
+    a(t) > 0 and lower half-width b(t) < 0.  The widths are even about
+    every multiple of `piece` (None: the whole soul), and on [0, piece]
+    a and -b are monotone in the same sense."""
 
     ell: float
     a: Callable[[float], float]
     b: Callable[[float], float]
-    period: float | None = None      # t-period of the widths, if any
-    even_about: float | None = None  # widths even about multiples of this
-    symmetric: bool = False          # b = -a
+    piece: float | None = None
 
-    def validate(self, samples: int = 40) -> None:
-        for t in np.linspace(0.0, self.ell, samples):
-            up, lo = self.a(float(t)), self.b(float(t))
-            if not up > 0.0 > lo:
+    def validate(self) -> None:
+        piece = self.ell if self.piece is None else self.piece
+        if not 0.0 < piece <= self.ell < math.inf:
+            raise CapacityError(f"need 0 < piece <= ell < inf, got "
+                                f"piece={self.piece}, ell={self.ell}")
+        for t in np.linspace(0.0, self.ell, 40).tolist():
+            up, lo, x = self.a(t), self.b(t), _mirror(t, piece)
+            if not (up > 0.0 > lo and math.isclose(up, self.a(x), rel_tol=1e-12)
+                    and math.isclose(lo, self.b(x), rel_tol=1e-12)):
                 raise CapacityError(
-                    f"profile not a two-sided collar at t={t}: "
-                    f"a={up}, b={lo}")
+                    f"profile at t={t} is not a two-sided collar even about "
+                    f"the multiples of piece: a={up}, b={lo}")
+        ts = np.linspace(0.0, piece, 40).tolist()
+        steps = np.diff([[self.a(t) for t in ts], [-self.b(t) for t in ts]])
+        if not ((steps >= 0.0).all() or (steps <= 0.0).all()):
+            raise CapacityError(
+                "a and -b are not monotone in the same sense on [0, piece]")
 
 
-def hyperbolic_collar_profile(dps: int = 30) -> CollarProfile:
+def hyperbolic_collar_profile() -> CollarProfile:
     """Half-width profile of the hyperbolic collar: twelve congruent
-    quadrilateral pieces, so the width has period ell/6 and is even about
-    every multiple of ell/12."""
+    quadrilateral pieces, so the width is even about every multiple of
+    ell/12, and it rises with cosh(t) on [0, ell/12]."""
     ell = collar_circumference()
-    half_period = ell / 12.0
-
-    def fold(t: float) -> float:
-        x = math.fmod(t, 2.0 * half_period)
-        if x < 0.0:
-            x += 2.0 * half_period
-        return 2.0 * half_period - x if x > half_period else x
 
     def a(t: float) -> float:
-        return fermi_half_width(fold(t), ell)
+        return fermi_half_width(_mirror(t, ell / 12.0), ell)
 
-    return CollarProfile(ell, a, lambda t: -a(t), period=2.0 * half_period,
-                         even_about=half_period, symmetric=True)
+    return CollarProfile(ell, a, lambda t: -a(t), piece=ell / 12.0)
 
 
 def constant_profile(ell: float, w: float) -> CollarProfile:
     """Collar of constant half-width w (capacity ell/(H(w) - H(-w)))."""
     if w <= 0:
         raise CapacityError("width must be positive")
-    return CollarProfile(ell, lambda t: w, lambda t: -w, period=None,
-                         even_about=None, symmetric=True)
+    return CollarProfile(ell, lambda t: w, lambda t: -w)
 
 
 @dataclass
@@ -111,58 +117,61 @@ class CapacityEstimate:
 # -- width-integral lower bound -----------------------------------------
 
 
-def _romberg(f, lo: float, hi: float, tol: float, max_level: int = 22) -> float:
-    """Romberg extrapolation of the trapezoid rule to tolerance tol."""
+def _romberg(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Romberg extrapolation of the trapezoid rule to tolerance tol; returns
+    the value and the change of its last extrapolation."""
     rows = [[(hi - lo) * (f(lo) + f(hi)) / 2.0]]
-    for k in range(1, max_level):
-        n = 2 ** k
-        h = (hi - lo) / n
-        mids = sum(f(lo + (2 * i + 1) * h) for i in range(n // 2))
-        first = rows[-1][0] / 2.0 + h * mids
-        row = [first]
+    for k in range(1, 22):
+        h = (hi - lo) / 2 ** k
+        mids = sum(f(lo + (2 * i + 1) * h) for i in range(2 ** (k - 1)))
+        row = [rows[-1][0] / 2.0 + h * mids]
         for m, prev in enumerate(rows[-1]):
             row.append(row[-1] + (row[-1] - prev) / (4 ** (m + 1) - 1))
         rows.append(row)
-        if k > 3 and abs(row[-1] - rows[-2][-1]) < tol / 4.0:
-            return row[-1]
+        change = abs(row[-1] - rows[-2][-1])
+        if k > 3 and change < tol / 4.0:
+            return row[-1], change
     raise CapacityError("quadrature failed to converge")
 
 
 def muetzel_bound(profile: CollarProfile, tol: float = 1e-8) -> CapacityEstimate:
     """Capacity lower bound: the integral of dt / (H(a(t)) - H(b(t))) over
-    one soul period, with H the gudermann map.
+    the soul, with H the gudermann map.
 
     Cauchy-Schwarz applied fiberwise makes each width-(H(a)-H(b)) strip
     contribute at least the reciprocal gap, with equality exactly for
-    t-independent widths.  Two independent quadrature routes (adaptive
-    Gauss and Romberg) must agree.
+    t-independent widths.  The soul is ell/piece mirror copies of
+    [0, piece], so Romberg integrates that piece alone.  There the gap is
+    monotone, so the integrand is too, and its lower and upper sums on
+    1024 cells enclose the integral: `meta["bracket"]`.  A Romberg value
+    outside that bracket raises CapacityError.
     """
-    if tol <= 0:
-        raise CapacityError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise CapacityError("tol must be finite and positive")
     profile.validate()
+    piece = profile.piece or profile.ell
+    factor = profile.ell / piece
 
     def integrand(t: float) -> float:
         return 1.0 / (gudermann(profile.a(t)) - gudermann(profile.b(t)))
 
-    if profile.period and profile.even_about:
-        lo, hi = 0.0, profile.even_about
-        factor = profile.ell / profile.even_about
-    else:
-        lo, hi = 0.0, profile.ell
-        factor = 1.0
-    gauss, gauss_err = integrate.quad(integrand, lo, hi, epsabs=tol / factor,
-                                      epsrel=0.0, limit=200)
-    romberg = _romberg(integrand, lo, hi, tol / factor)
-    disagreement = factor * abs(gauss - romberg)
-    if disagreement > 2.0 * tol:
+    value, change = _romberg(integrand, 0.0, piece, tol / factor)
+    value *= factor
+    # on each cell the monotone integrand lies between its endpoint values;
+    # the sums are widened by 1e-12, relative, for the rounding of the
+    # integrand and of the sums
+    h = piece / 1024
+    ys = [integrand(h * i) for i in range(1025)]
+    cells = list(zip(ys, ys[1:]))
+    lo = factor * h * math.fsum(map(min, cells)) * (1.0 - 1e-12)
+    hi = factor * h * math.fsum(map(max, cells)) * (1.0 + 1e-12)
+    if not lo <= value <= hi:
         raise CapacityError(
-            f"quadrature routes disagree: {factor * gauss} vs "
-            f"{factor * romberg}")
-    return CapacityEstimate(
-        "lower_muetzel", factor * gauss,
-        error_estimate=factor * gauss_err + disagreement,
-        meta={"tol": tol, "romberg": factor * romberg,
-              "segments": factor if factor != 1.0 else None})
+            f"Romberg value {value} outside the monotone bracket "
+            f"[{lo}, {hi}]")
+    return CapacityEstimate("lower_muetzel", value,
+                            error_estimate=factor * change,
+                            meta={"tol": tol, "bracket": [lo, hi]})
 
 
 # -- flat-collar upper bound --------------------------------------------
@@ -335,7 +344,8 @@ def separation_certificate(p: SurfaceParameters | None = None,
                            include_fem: bool = False,
                            lower: CapacityEstimate | None = None) -> dict:
     """Test flat-collar capacity < 2.29 < hyperbolic-collar capacity, each
-    margin above tol; `separated` records the outcome.
+    margin above tol, the lower one at the bottom of the width integral's
+    monotone bracket; `separated` records the outcome.
 
     `lower` is the hyperbolic-collar width-integral bound when the caller
     has already computed it (at its own quadrature tolerance).
@@ -346,11 +356,13 @@ def separation_certificate(p: SurfaceParameters | None = None,
         lower = muetzel_bound(hyperbolic_collar_profile())
     margin_upper = SEPARATION_LEVEL - upper.closed_form.value
     margin_lower = lower.value - SEPARATION_LEVEL
-    ok = margin_upper > tol and margin_lower > tol
+    bracket = lower.meta["bracket"]
+    ok = margin_upper > tol and bracket[0] - SEPARATION_LEVEL > tol
     cert = {
         "upper": upper.closed_form.value,
         "lower": lower.value,
         "lower_error": lower.error_estimate,
+        "lower_bracket": bracket,
         "level": SEPARATION_LEVEL,
         "margin_upper": margin_upper,
         "margin_lower": margin_lower,

@@ -83,16 +83,8 @@ def build_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    flag_map = {
-        "digits": getattr(args, "digits", None),
-        "lmax": getattr(args, "lmax", None),
-        "mesh_h": getattr(args, "mesh_h", None),
-        "tol": getattr(args, "tol", None),
-        "budget": getattr(args, "budget", None),
-        "fmt": getattr(args, "format", None),
-        "out": getattr(args, "out", None),
-    }
-    for key, val in flag_map.items():
+    for key in _CONFIG_FIELDS:
+        val = getattr(args, "format" if key == "fmt" else key, None)
         if val is not None:
             values[key] = val
     for key in ("digits", "budget"):
@@ -212,7 +204,7 @@ def cmd_hexopt(cfg: RunConfig, args) -> int:
     report = _base_report(cfg)
     report["hexopt"] = cert
     _emit(report, cfg)
-    ok = checks[-1]["pass"]  # the alternative-decomposition margins
+    ok = all(c["pass"] for c in checks)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -235,7 +227,7 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
                                      tol=cfg.tol)
         report["lower"] = {"value": est.value,
                           "error_estimate": est.error_estimate,
-                          "romberg": est.meta["romberg"]}
+                          "bracket": est.meta["bracket"]}
     elif target == "fem":
         flat, hyp = capacity.collar_fem_pair(mesh_h=max(cfg.mesh_h, 0.06))
         report["fem"] = {"flat_collar": flat.value,
@@ -290,8 +282,9 @@ def capacity_stage(p, cfg: RunConfig,
     checks: list[dict] = []
     ok = abs(cert["upper"] - 2.283093046469848) <= 1e-9
     _check(checks, "flat collar capacity upper", cert["upper"], ok, 1e-9)
+    lo, hi = lower.meta["bracket"]
     ok = abs(lower.value - 2.2946094708421385) <= 1e-9
-    ok &= abs(lower.meta["romberg"] - lower.value) <= 1e-6
+    ok &= lo <= lower.value <= hi and lo > capacity.SEPARATION_LEVEL
     _check(checks, "hyperbolic collar capacity lower", lower.value, ok, 1e-9,
            "quadrature")
     worst = min(cert["margin_upper"], cert["margin_lower"])

@@ -250,7 +250,6 @@ class SurfaceParameters:
     h: float
     delta: float
     short_side: float = 1.0 / 3.0
-    ell: float = 0.0
 
     @classmethod
     def paper(cls) -> "SurfaceParameters":
@@ -260,19 +259,14 @@ class SurfaceParameters:
             theta = float(_mp_theta())
             alpha = float(_mp_alpha())
             delta = float(mp.mpf(1) / 2 - _mp_h())
-            ell = float(_mp_ell())
-        return cls(alpha=alpha, theta=theta, h=h, delta=delta, ell=ell)
+        return cls(alpha=alpha, theta=theta, h=h, delta=delta)
 
     @classmethod
     def from_h(cls, h: float) -> "SurfaceParameters":
-        """Rebuild the dependent parameters from an (arbitrary) h in (0, 1/4).
-
-        Uses theta = arcsin-free relation tan(theta) = 6h only through the
-        paper convention when h is the paper value; for perturbed h the
-        construction keeps theta from sin(theta/2) = 2h so the trapezoid
-        still closes up (the 6h = tan(theta) relation then fails, which
-        check_defining_relations reports).
-        """
+        """Rebuild the dependent parameters from an arbitrary h in (0, 1/4),
+        with theta from sin(theta/2) = 2h so the trapezoid still closes up.
+        Away from the paper's h, tan(theta) = 6h then fails, which
+        check_defining_relations reports."""
         if not 0 < h < 0.25:
             raise ValueError("h must lie in (0, 1/4)")
         theta = 2 * math.asin(2 * h)

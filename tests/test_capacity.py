@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 
 from dycksurf import capacity as cap
 from dycksurf import surface as sf
 from dycksurf.capacity import (
     CapacityError,
+    CapacityEstimate,
     CollarProfile,
     collar_circumference,
     constant_profile,
@@ -69,7 +72,7 @@ class TestCollarProfile:
     def test_paper_profile_symmetries(self):
         p = hyperbolic_collar_profile()
         p.validate()
-        assert p.symmetric
+        assert p.piece == pytest.approx(p.ell / 12, abs=1e-15)
         for t in np.linspace(0, p.ell, 37):
             t = float(t)
             assert p.b(t) == pytest.approx(-p.a(t), abs=1e-15)
@@ -96,6 +99,30 @@ class TestCollarProfile:
         with pytest.raises(CapacityError):
             constant_profile(2.0, -0.1)
 
+    @pytest.mark.parametrize("ell, piece", [
+        (math.nan, None), (math.inf, None), (0.0, None), (-2.0, None),
+        (2.0, math.nan), (2.0, math.inf), (2.0, 0.0), (2.0, -0.5),
+        (2.0, 2.5)])
+    def test_bad_lengths_rejected(self, ell, piece):
+        with pytest.raises(CapacityError):
+            CollarProfile(ell, lambda t: 0.5, lambda t: -0.5, piece).validate()
+
+    def test_piece_contract_enforced(self):
+        good = hyperbolic_collar_profile()
+        good.validate()
+        # the paper widths rise on [0, ell/12], but not on [0, ell/6]
+        with pytest.raises(CapacityError, match="monotone"):
+            CollarProfile(good.ell, good.a, good.b, 2 * good.piece).validate()
+        # even about t = 1, but on [0, 1] a rises while -b falls
+        with pytest.raises(CapacityError, match="monotone"):
+            CollarProfile(2.0, lambda t: 2.0 - abs(1.0 - t),
+                          lambda t: -1.0 - abs(1.0 - t), piece=1.0).validate()
+        # rising on all of [0, 2] is not even about t = 1
+        with pytest.raises(CapacityError, match="even"):
+            CollarProfile(2.0, lambda t: 1.0 + t, lambda t: -1.0 - t,
+                          piece=1.0).validate()
+        CollarProfile(2.0, lambda t: 1.0 + t, lambda t: -1.0 - t).validate()
+
 
 class TestMuetzelBound:
     def test_paper_profile(self):
@@ -104,7 +131,9 @@ class TestMuetzelBound:
         assert est.value == pytest.approx(LOWER, abs=1e-9)
         assert est.value >= 2.29460
         assert est.error_estimate < 1e-6
-        assert est.meta["romberg"] == pytest.approx(est.value, abs=1e-6)
+        lo, hi = est.meta["bracket"]
+        assert 2.29 < lo <= est.value <= hi
+        assert hi - lo <= 1e-3
 
     def test_constant_profile_closed_form(self):
         for ell, w in ((2.0, 0.7), (5.0, 1.3)):
@@ -131,6 +160,38 @@ class TestMuetzelBound:
     def test_bad_tol(self):
         with pytest.raises(CapacityError):
             muetzel_bound(hyperbolic_collar_profile(), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(CapacityError, match="finite"):
+            muetzel_bound(hyperbolic_collar_profile(), tol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 3.0), st.floats(0.5, 5.0))
+    def test_bracket_encloses_linear_integrand(self, c, ell):
+        # H(a) - H(-a) = 2 arctan(sinh a) = 1/(c + t): the integrand is c + t
+        def a(t):
+            return math.asinh(math.tan(1.0 / (2.0 * (c + t))))
+
+        est = muetzel_bound(CollarProfile(ell, a, lambda t: -a(t)), tol=1e-10)
+        exact = c * ell + ell * ell / 2.0
+        lo, hi = est.meta["bracket"]
+        assert lo <= exact <= hi
+        assert est.value == pytest.approx(exact, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 5.0), st.floats(0.05, 4.0))
+    def test_constant_widths_match_closed_form(self, ell, w):
+        est = muetzel_bound(constant_profile(ell, w), tol=1e-10)
+        exact = ell / (gudermann(w) - gudermann(-w))
+        lo, hi = est.meta["bracket"]
+        assert lo <= exact <= hi
+        assert est.value == pytest.approx(exact, abs=1e-9)
+
+    def test_value_outside_bracket_refused(self, monkeypatch):
+        monkeypatch.setattr(cap, "_romberg", lambda *args: (1.0, 0.0))
+        with pytest.raises(CapacityError, match="bracket"):
+            muetzel_bound(hyperbolic_collar_profile())
 
 
 class TestFlatCapacityUpper:
@@ -300,6 +361,16 @@ class TestSeparation:
         assert cert["margin_lower"] >= 4e-3
         assert cert["margin_upper"] == pytest.approx(0.00691, abs=1e-5)
         assert cert["margin_lower"] == pytest.approx(0.00461, abs=1e-5)
+        lo, hi = cert["lower_bracket"]
+        assert 2.29 < lo <= cert["lower"] <= hi
+
+    def test_separation_needs_the_bracket_to_clear(self):
+        # the value clears 2.29 by 0.0046, the bottom of its bracket by 5e-4
+        lower = CapacityEstimate("lower_muetzel", LOWER, 0.0,
+                                 meta={"bracket": [2.2905, 2.30]})
+        cert = separation_certificate(tol=1e-3, lower=lower)
+        assert cert["margin_lower"] > 1e-3
+        assert not cert["separated"]
 
     def test_failed_separation_is_reported(self):
         # margins 0.0069 and 0.0046 do not clear tol = 0.01
@@ -314,6 +385,6 @@ class TestSeparation:
     def test_corrupted_circumference_moves_bound(self):
         # negative control: a 1% shorter soul changes the lower bound
         good = hyperbolic_collar_profile()
-        bad = CollarProfile(0.99 * good.ell, good.a, good.b)
+        bad = CollarProfile(0.99 * good.ell, good.a, good.b, piece=good.piece)
         v = muetzel_bound(bad, tol=1e-8).value
         assert abs(v - LOWER) / LOWER > 0.005

@@ -2,9 +2,12 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dycksurf
 from dycksurf import capacity, hexopt
 from dycksurf.cli import (
     BadInput,
@@ -157,11 +160,26 @@ class TestHexoptAndCapacity:
         assert rep["hexopt"]["hex_min"]["area"] == pytest.approx(
             0.2008512019731, abs=1e-8)
 
+    def test_hexopt_fails_on_any_check(self, capsys, monkeypatch):
+        # only the hexagon-minimum check fails; the case margins still pass
+        real = hexopt.minimize_hex
+        monkeypatch.setattr(hexopt, "minimize_hex",
+                            lambda d: hexopt.HexMinimum(real(d).angles, 0.3))
+        code, rep = run_json(capsys, "hexopt")
+        assert code == 4
+        assert rep["hexopt"]["hex_min"]["area"] == 0.3
+        code, rep = run_json(capsys, "verify")
+        assert code == 4
+        assert rep["first_failure"] == "hexopt"
+
     def test_capacity_lower(self, capsys):
         code, rep = run_json(capsys, "capacity", "lower")
         assert code == 0
         assert rep["lower"]["value"] == pytest.approx(2.2946094708,
                                                       abs=1e-9)
+        lo, hi = rep["lower"]["bracket"]
+        assert 2.29 < lo <= rep["lower"]["value"] <= hi
+        assert "romberg" not in rep["lower"]
 
     def test_capacity_upper_closed_form(self, capsys):
         code, rep = run_json(capsys, "capacity", "upper")
@@ -296,3 +314,13 @@ class TestExport:
 
     def test_requires_out(self, capsys):
         assert main(["export", "surface"]) == 2
+
+
+def test_cli_import_skips_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(dycksurf.__file__))
+    code = ("import sys, dycksurf.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
