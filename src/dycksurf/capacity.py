@@ -25,6 +25,10 @@ from . import surface as _surface
 from .geodesic import sublevel_area
 
 
+# most 4-to-1 refinements fem_capacity makes; each quadruples the faces
+MAX_REFINE = 6
+
+
 class CapacityError(ValueError):
     pass
 
@@ -249,15 +253,16 @@ def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]) -> float:
     return float(u @ (K @ u))
 
 
-def fem_capacity(annulus, mesh_h: float = 0.02,
-                 max_refine: int = 6) -> CapacityEstimate:
+def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     """Capacity of a flat annulus by the piecewise-linear Rayleigh quotient.
 
-    The mesh is refined 4-to-1 until no edge exceeds mesh_h; conforming
-    elements make the discrete energy an upper bound that is nonincreasing
-    under refinement.  Boundary values come from the two boundary labels in
+    The mesh is refined 4-to-1 until no edge exceeds mesh_h, at most
+    MAX_REFINE times (mesh_h = inf: never); conforming elements make the
+    discrete energy an upper bound that is nonincreasing under refinement.  Boundary values come from the two boundary labels in
     alphabetical order (first label 0, second label 1).
     """
+    if not mesh_h > 0:
+        raise CapacityError("mesh_h must be positive")
     s = annulus
     if s.euler_characteristic != 0:
         raise CapacityError("input is not an annulus (Euler char != 0)")
@@ -266,7 +271,7 @@ def fem_capacity(annulus, mesh_h: float = 0.02,
         raise CapacityError("annulus boundary is not labeled")
     refines = 0
     while max(max(tri) for tri in s.faces) > mesh_h:
-        if refines >= max_refine:
+        if refines >= MAX_REFINE:
             raise CapacityError("refinement limit reached before mesh_h")
         s = _surface.subdivide(s)
         refines += 1

@@ -25,6 +25,9 @@ WINDOW_TOL = 1e-9
 CAPTURE_TOL = 1e-7
 ANGLE_KEY_DIGITS = 7
 SIDE_ANGLE_TOL = 1e-7
+# voronoi_cells decomposes the hexagonal annulus: faces of these regions
+# are left out
+EXCLUDED_REGIONS = ("mobius",)
 
 
 class GeodesicError(ValueError):
@@ -175,8 +178,8 @@ def enumerate_saddle_connections(
     s: ConeSurface, L_max: float, budget: int = 400_000
 ) -> SaddleConnectionSet:
     """All directed saddle connections of length <= L_max between vertices."""
-    if L_max <= 0:
-        raise GeodesicError("L_max must be positive")
+    if not 0 < L_max < math.inf:
+        raise GeodesicError("L_max must be finite and positive")
     found: dict[tuple, SaddleConnection] = {}
     bud = _Budget(budget)
     try:
@@ -413,8 +416,6 @@ def enumerate_closed_geodesics(
     deduplicated by unoriented trace, sorted by length."""
     if not s.is_closed:
         raise GeodesicError("surface must be closed")
-    if L_max <= 0:
-        raise GeodesicError("L_max must be positive")
     scs = enumerate_saddle_connections(s, L_max, budget)
     conns = scs.connections
     by_src: dict[int, list[int]] = {}
@@ -563,6 +564,8 @@ def point_distance(s: ConeSurface, x, y, L_max: float,
                    budget: int = 400_000) -> PointDistance:
     """Geodesic distance between points x = (face, (u, v)) and y, allowing
     paths through cone points, capped at L_max."""
+    if not 0 < L_max < math.inf:
+        raise GeodesicError("L_max must be finite and positive")
     # query points placed exactly on a vertex degenerate the developing
     # windows; treat them as the vertex itself
     snap_x = _snap_to_vertex(s, x[0], np.asarray(x[1], dtype=float))
@@ -632,8 +635,8 @@ class DistanceField:
     """
 
     def __init__(self, s: ConeSurface, mesh_h: float):
-        if mesh_h <= 0:
-            raise GeodesicError("mesh_h must be positive")
+        if not 0 < mesh_h < math.inf:
+            raise GeodesicError("mesh_h must be finite and positive")
         self.surface = s
         self.mesh_h = mesh_h
         self.node_distance: np.ndarray | None = None
@@ -747,8 +750,8 @@ def sublevel_area(s: ConeSurface, curve_slots, r: float, mesh_h: float = 0.01,
                   extrapolate: bool = True) -> SublevelArea:
     """Area of the set of points within distance r of the marked curve,
     with Richardson extrapolation over one mesh refinement."""
-    if r <= 0:
-        raise GeodesicError("r must be positive")
+    if not 0 < r < math.inf:
+        raise GeodesicError("r must be finite and positive")
     a1 = _sublevel_once(s, curve_slots, r, mesh_h)
     if not extrapolate:
         return SublevelArea(a1, r, mesh_h, math.nan, (a1,))
@@ -767,11 +770,14 @@ class VoronoiCell:
     neighbors: set[int]
 
 
-def voronoi_cells(s: ConeSurface, centers=None, mesh_h: float = 0.01,
-                  exclude_regions=("mobius",)) -> list[VoronoiCell]:
-    """Nearest-center decomposition of the non-excluded faces, by labeled
-    distance fields on the refined mesh."""
+def voronoi_cells(s: ConeSurface, centers=None,
+                  mesh_h: float = 0.01) -> list[VoronoiCell]:
+    """Nearest-center decomposition of the faces outside EXCLUDED_REGIONS,
+    by labeled distance fields on the refined mesh; the centers default to
+    the Weierstrass points."""
     if centers is None:
+        if "weierstrass" not in s.marks:
+            raise GeodesicError("no centers given and no Weierstrass marks")
         centers = sorted({s.vertex_of(tuple(c)) for c in s.marks["weierstrass"]})
     centers = list(centers)
     if len(set(centers)) != len(centers):
@@ -782,7 +788,7 @@ def voronoi_cells(s: ConeSurface, centers=None, mesh_h: float = 0.01,
     region = s.marks.get("region")
     cells = {v: VoronoiCell(v, 0.0, [], set()) for v in centers}
     for f in range(len(s.faces)):
-        if region is not None and region[f] in exclude_regions:
+        if region is not None and region[f] in EXCLUDED_REGIONS:
             continue
         m = max(1, math.ceil(max(s.faces[f]) / mesh_h))
         pts, sub_area = _subtriangle_centroids(s, f, m)

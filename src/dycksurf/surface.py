@@ -167,26 +167,11 @@ class ConeSurface:
 
     @cached_property
     def orientable(self) -> bool:
-        sign = [0] * len(self.faces)
-        for f0 in range(len(self.faces)):
-            if sign[f0]:
-                continue
-            sign[f0] = 1
-            stack = [f0]
-            while stack:
-                f = stack.pop()
-                for e in range(3):
-                    g = self.glue_map.get((f, e))
-                    if g is None:
-                        continue
-                    f2, _, flip = g
-                    want = sign[f] if flip else -sign[f]
-                    if sign[f2] == 0:
-                        sign[f2] = want
-                        stack.append(f2)
-                    elif sign[f2] != want:
-                        return False
-        return True
+        """No face has both its sheets in one component of the two-sheeted
+        cover: each component then lifts to two copies of itself."""
+        F = len(self.faces)
+        comp = _components(2 * F, [(f, f2) for f, _, f2, _, _ in _sheet_gluings(self)])
+        return bool((comp[:F] != comp[F:]).all())
 
     def face_area(self, f: int) -> float:
         return float(self.face_areas[f])
@@ -462,11 +447,23 @@ def cut_along_graph(s: ConeSurface, g: CutGraph) -> ConeSurface:
         cut.add(slot)
         cut.add(twin)
     keep = [rec for rec in s.gluings if (rec[0], rec[1]) not in cut]
-    marks = {k: v for k, v in s.marks.items() if k != "soul"}
-    return ConeSurface(s.faces, keep, name=s.name + "|cut", marks=marks)
+    return ConeSurface(s.faces, keep, name=s.name + "|cut", marks=dict(s.marks))
 
 
 # -- orientation double cover ------------------------------------------
+
+
+def _sheet_gluings(s: ConeSurface) -> list[tuple[int, int, int, int, bool]]:
+    """Gluings of the two-sheeted cover, whose face f + k*F is face f on
+    sheet k: a gluing keeps the sheet when flip=True, which preserves the
+    face-orientation sign, and swaps it otherwise."""
+    F = len(s.faces)
+    out = []
+    for f, e, f2, e2, flip in s.gluings:
+        other = 0 if flip else F
+        out.append((f, e, f2 + other, e2, flip))
+        out.append((f + F, e, f2 + (F - other), e2, flip))
+    return out
 
 
 def orientation_double_cover(s: ConeSurface) -> ConeSurface:
@@ -476,11 +473,7 @@ def orientation_double_cover(s: ConeSurface) -> ConeSurface:
         raise SurfaceError("surface is already orientable")
     F = len(s.faces)
     faces = list(s.faces) + list(s.faces)
-    gluings = []
-    for f, e, f2, e2, flip in s.gluings:
-        other = 0 if flip else F  # flip=True preserves the face-orientation sign
-        gluings.append((f, e, f2 + other, e2, flip))
-        gluings.append((f + F, e, f2 + (F - other), e2, flip))
+    gluings = _sheet_gluings(s)
     marks = {}
     for k, v in s.marks.items():
         if k in ("weierstrass", "soul"):
@@ -706,8 +699,13 @@ def build_round_annulus(r_in: float, r_out: float, n_theta: int = 48, n_r: int =
                        marks={"boundary_labels": labels})
 
 
-def _annulus_pieces(p: SurfaceParameters):
-    """Faces and internal gluings of one hexagonal annulus + cylinder copy.
+def build_extremal_dyck(p: SurfaceParameters | None = None) -> ConeSurface:
+    """The extremal nonpositively curved Dyck's surface as a flat cone mesh.
+
+    Six trapezoids form the hexagonal annulus (outer half-sides identified in
+    opposite pairs, creating the two 6-alpha cone points p, q and the three
+    smooth Weierstrass midpoints); a cylinder of circumference 2 and height
+    delta closes it into a Moebius band whose soul is the top circle.
 
     Face layout (all indices mod 6 in j):
       trapezoid j:  A_j=3j   (I_j, I_j+1, M_j)
@@ -715,9 +713,12 @@ def _annulus_pieces(p: SurfaceParameters):
                     C_j=3j+2 (I_j, M_j, O_j)
       cylinder col: P_j=18+4j (B_j, B_j+1, X_j)   Q_j=19+4j (B_j+1, U_j+1, X_j)
                     R_j=20+4j (U_j+1, U_j, X_j)   S_j=21+4j (U_j, B_j, X_j)
-    The trapezoid outer half-sides (B_j slot 1, C_j slot 1) and the cylinder
-    top edges (R_j slot 0) are left unglued here.
+    The trapezoid outer half-sides are B_j slot 1 and C_j slot 1; the
+    cylinder top edges are R_j slot 0.
     """
+    p = p or SurfaceParameters.paper()
+    if not relations_ok(p, 1e-9):
+        raise SurfaceError("parameters violate the defining relations")
     short = p.short_side
     leg = p.leg
     half_long = p.long_side / 2
@@ -753,23 +754,6 @@ def _annulus_pieces(p: SurfaceParameters):
             (S(j), 1, P(j), 2, True),
             (Q(j), 0, S(j + 1), 0, True),
         ]
-    helpers = dict(A=A, B=B, C=C, P=P, Q=Q, R=R, S=S)
-    return faces, gluings, helpers
-
-
-def build_extremal_dyck(p: SurfaceParameters | None = None) -> ConeSurface:
-    """The extremal nonpositively curved Dyck's surface as a flat cone mesh.
-
-    Six trapezoids form the hexagonal annulus (outer half-sides identified in
-    opposite pairs, creating the two 6-alpha cone points p, q and the three
-    smooth Weierstrass midpoints); a cylinder of circumference 2 and height
-    delta closes it into a Moebius band whose soul is the top circle.
-    """
-    p = p or SurfaceParameters.paper()
-    if not relations_ok(p, 1e-9):
-        raise SurfaceError("parameters violate the defining relations")
-    faces, gluings, hp = _annulus_pieces(p)
-    B, C, R = hp["B"], hp["C"], hp["R"]
     for j in range(3):
         # outer side of trapezoid j ~ outer side of trapezoid j+3, by the
         # central identification O_j <-> O_{j+4}, M_j <-> M_{j+3}
@@ -777,7 +761,7 @@ def build_extremal_dyck(p: SurfaceParameters | None = None) -> ConeSurface:
         gluings.append((C(j), 1, B(j + 3), 1, True))
         gluings.append((R(j), 0, R(j + 3), 0, False))  # antipodal top
     marks = {
-        "weierstrass": [(hp["A"](j), 2) for j in range(3)],
+        "weierstrass": [(A(j), 2) for j in range(3)],
         "p": (C(0), 2),  # O_0
         "q": (B(0), 1),  # O_1
         "soul": [(R(j), 0) for j in range(3)],
@@ -799,144 +783,17 @@ def extremal_cut_graph(s: ConeSurface) -> CutGraph:
 
 
 def build_collar_flat(p: SurfaceParameters | None = None) -> ConeSurface:
-    """Direct assembly of the flat collar: two annulus+cylinder copies glued
-    along the cylinder tops (the soul circle), outer half-sides free."""
-    p = p or SurfaceParameters.paper()
-    faces1, glue1, hp = _annulus_pieces(p)
-    n = len(faces1)
-    faces = faces1 + faces1
-    gluings = list(glue1) + [(f + n, e, f2 + n, e2, flip) for f, e, f2, e2, flip in glue1]
-    R = hp["R"]
-    for j in range(6):
-        gluings.append((R(j), 0, R(j + 3) + n, 0, False))
-    labels = {}
-    for j in range(6):
-        for fe in ((hp["B"](j), 1), (hp["C"](j), 1)):
-            labels[fe] = "bottom"
-            labels[(fe[0] + n, fe[1])] = "top"
-    marks = {
-        "soul": [(R(j), 0) for j in range(6)],
-        "region": (["hex"] * 18 + ["mobius"] * 24) * 2,
-        "boundary_labels": labels,
-        "weierstrass": [(hp["A"](j), 2) for j in range(6)]
-        + [(hp["A"](j) + n, 2) for j in range(6)],
-    }
-    return ConeSurface(faces, gluings, name="collar_flat", marks=marks)
+    """The flat collar: the orientation double cover of the extremal
+    surface cut along its symmetry graph.
 
-
-def build_collar_leq0_via_cover(p: SurfaceParameters | None = None) -> ConeSurface:
-    """Cross-check pipeline: cut the extremal surface along the symmetry graph
-    and take the orientation double cover."""
+    The cut surface is a Moebius band around the soul; its cover is an
+    annulus around the soul's lift, of length 2.  Each lift of the cut
+    boundary lies in one sheet: boundary slots of the first sheet are
+    labeled "bottom", those of the second "top".
+    """
     s = build_extremal_dyck(p)
-    cut = cut_along_graph(s, extremal_cut_graph(s))
-    return orientation_double_cover(cut)
-
-
-# -- combinatorial isometries ------------------------------------------
-
-_PERMS = [
-    (0, 1, 2), (1, 2, 0), (2, 0, 1),  # rotations
-    (0, 2, 1), (2, 1, 0), (1, 0, 2),  # reflections
-]
-
-
-def _perm_ok(s1: ConeSurface, f: int, s2: ConeSurface, g: int, perm, tol) -> bool:
-    # corner perm maps corner c of f to corner perm[c] of g; edge (c, c+1)
-    # must land on an edge of g with equal length
-    for e in range(3):
-        a, b = perm[e], perm[(e + 1) % 3]
-        e2 = a if b == (a + 1) % 3 else b
-        if abs(s1.faces[f][e] - s2.faces[g][e2]) > tol:
-            return False
-    return True
-
-
-def _image_slot(perm, e: int) -> tuple[int, bool]:
-    a, b = perm[e], perm[(e + 1) % 3]
-    if b == (a + 1) % 3:
-        return a, False  # direction preserved
-    return b, True  # direction reversed
-
-
-def _propagate(s1: ConeSurface, s2: ConeSurface, f0: int, g0: int, perm0, tol):
-    """Grow a corner-preserving face map from a seed; None if inconsistent."""
-    fmap: dict[int, tuple[int, tuple]] = {f0: (g0, perm0)}
-    stack = [f0]
-    used = {g0}
-    while stack:
-        f = stack.pop()
-        g, perm = fmap[f]
-        for e in range(3):
-            rec = s1.glue_map.get((f, e))
-            img_e, rev = _image_slot(perm, e)
-            rec2 = s2.glue_map.get((g, img_e))
-            if (rec is None) != (rec2 is None):
-                return None
-            if rec is None:
-                continue
-            f2, e2, flip = rec
-            g2, e22, flip2 = rec2
-            # corner correspondence across both gluings determines the
-            # induced permutation on f2
-            corr: dict[int, int] = {}
-            src = _edge_corners(e, flip, e2)
-            dst = _edge_corners(img_e, flip2, e22)
-            # src maps corners of f-edge to corners of f2; dst likewise for g
-            for cf, cf2 in src.items():
-                cg = perm[cf]
-                if cg not in dst:
-                    return None
-                corr[cf2] = dst[cg]
-            perm2 = _complete_perm(corr)
-            if perm2 is None or not _perm_ok(s1, f2, s2, g2, perm2, tol):
-                return None
-            if f2 in fmap:
-                if fmap[f2] != (g2, perm2):
-                    return None
-            else:
-                if g2 in used:
-                    return None
-                fmap[f2] = (g2, perm2)
-                used.add(g2)
-                stack.append(f2)
-    if len(fmap) != len(s1.faces):
-        return None  # disconnected surface: not handled
-    return fmap
-
-
-def _edge_corners(e: int, flip: bool, e2: int) -> dict[int, int]:
-    if flip:
-        return {e: (e2 + 1) % 3, (e + 1) % 3: e2}
-    return {e: e2, (e + 1) % 3: (e2 + 1) % 3}
-
-
-def _complete_perm(corr: dict[int, int]):
-    missing = [c for c in range(3) if c not in corr]
-    missing_img = [c for c in range(3) if c not in corr.values()]
-    if len(missing) != 1:
-        return None
-    corr = dict(corr)
-    corr[missing[0]] = missing_img[0]
-    return (corr[0], corr[1], corr[2])
-
-
-def isometries(s1: ConeSurface, s2: ConeSurface, tol: float = 1e-9, limit: int | None = None):
-    """All corner-preserving isometries s1 -> s2 (combinatorial, with matching
-    edge lengths).  Each is a dict face -> (image face, corner permutation)."""
-    out = []
-    if len(s1.faces) != len(s2.faces):
-        return out
-    for g0 in range(len(s2.faces)):
-        for perm in _PERMS:
-            if not _perm_ok(s1, 0, s2, g0, perm, tol):
-                continue
-            fmap = _propagate(s1, s2, 0, g0, perm, tol)
-            if fmap is not None:
-                out.append(fmap)
-                if limit and len(out) >= limit:
-                    return out
-    return out
-
-
-def are_isometric(s1: ConeSurface, s2: ConeSurface, tol: float = 1e-9) -> bool:
-    return bool(isometries(s1, s2, tol=tol, limit=1))
+    cover = orientation_double_cover(cut_along_graph(s, extremal_cut_graph(s)))
+    F = len(s.faces)
+    labels = {(f, e): "bottom" if f < F else "top" for f, e in cover.boundary_slots}
+    return ConeSurface(cover.faces, cover.gluings, name="collar_flat",
+                       marks={**cover.marks, "boundary_labels": labels})

@@ -301,6 +301,13 @@ class TestFemCapacity:
         with pytest.raises(CapacityError):
             fem_capacity(bare, mesh_h=0.5)
 
+    def test_nan_mesh_h_rejected(self):
+        # inf means never refine; NaN would stop the refinement loop at once
+        cyl = sf.build_cylinder(2.0, 0.5)
+        assert fem_capacity(cyl, mesh_h=math.inf).meta["refines"] == 0
+        with pytest.raises(CapacityError):
+            fem_capacity(cyl, mesh_h=math.nan)
+
 
 class TestFermiChart:
     def test_chart_is_labeled_annulus(self):

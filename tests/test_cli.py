@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,8 +283,7 @@ class TestExport:
     def test_surface_golden(self, tmp_path, capsys):
         out = tmp_path / "surface.json"
         assert main(["export", "surface", "--out", str(out)]) == 0
-        golden = open(os.path.join(GOLDEN, "extremal_surface.json"),
-                      "rb").read()
+        golden = Path(GOLDEN, "extremal_surface.json").read_bytes()
         assert out.read_bytes() == golden
 
     def test_geodesics_sorted(self, tmp_path, capsys):

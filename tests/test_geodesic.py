@@ -379,6 +379,32 @@ class TestVoronoi:
         with pytest.raises(GeodesicError):
             voronoi_cells(dyck, centers=[2, 2])
 
+    def test_unmarked_surface_needs_centers(self):
+        with pytest.raises(GeodesicError, match="Weierstrass"):
+            voronoi_cells(sf.build_flat_torus(), mesh_h=0.05)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf])
+class TestNonFiniteSizesRefused:
+    def test_saddle_connections(self, dyck, size):
+        with pytest.raises(GeodesicError, match="finite"):
+            enumerate_saddle_connections(dyck, size)
+
+    def test_point_distance(self, dyck, size):
+        x = (5, np.mean(dyck.chart(5), axis=0))
+        y = (30, np.mean(dyck.chart(30), axis=0))
+        with pytest.raises(GeodesicError, match="finite"):
+            point_distance(dyck, x, y, size)
+
+    def test_distance_field(self, dyck, size):
+        with pytest.raises(GeodesicError, match="finite"):
+            DistanceField(dyck, size)
+
+    def test_sublevel_area(self, size):
+        cyl, mid = stacked_cylinder()
+        with pytest.raises(GeodesicError, match="finite"):
+            sublevel_area(cyl, mid, size, mesh_h=0.1)
+
 
 class TestComparisonPolygon:
     def test_unit_square(self):

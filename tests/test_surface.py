@@ -137,6 +137,17 @@ class TestModelSurfaces:
         assert abs(t.area - 2.0) < 1e-12
         assert not t.cone_points()
 
+    def test_disjoint_unions(self):
+        def union(a, b):
+            n = len(a.faces)
+            return ConeSurface(a.faces + b.faces, a.gluings + [
+                (f + n, e, f2 + n, e2, flip) for f, e, f2, e2, flip in b.gluings])
+
+        klein, torus = sf.build_flat_klein_bottle(), sf.build_flat_torus()
+        assert not union(klein, torus).orientable
+        assert not union(torus, klein).orientable
+        assert union(torus, sf.build_flat_torus(1.0, 2.0)).orientable
+
     def test_cover_of_orientable_rejected(self):
         with pytest.raises(SurfaceError):
             sf.orientation_double_cover(sf.build_flat_torus())
@@ -243,9 +254,6 @@ class TestExtremalSurface:
             qm = (ch2[e2] + ch2[(e2 + 1) % 3]) / 2
             assert np.allclose(R @ qm + t, pm, atol=1e-9)
 
-    def test_symmetry_order(self, dyck):
-        assert len(sf.isometries(dyck, dyck)) == 12
-
     def test_double_cover_genus_two(self, dyck):
         c = sf.orientation_double_cover(dyck)
         assert c.orientable
@@ -295,18 +303,25 @@ class TestCutAndCollar:
         assert c.euler_characteristic == 0
         assert abs(c.area - 2 * EXTREMAL_AREA) < 1e-9
         assert len(sf.boundary_components(c)) == 2
-        soul_len = sum(c.faces[f][e] for f, e in c.marks["soul"])
-        assert abs(soul_len - 2.0) < 1e-12
 
-    def test_collar_pipelines_agree(self):
-        direct = sf.build_collar_flat()
-        via_cover = sf.build_collar_leq0_via_cover()
-        assert sf.are_isometric(direct, via_cover)
+    def test_collar_faces_are_two_sheets(self, dyck):
+        assert sf.build_collar_flat().faces == dyck.faces * 2
 
-    def test_collar_not_isometric_to_perturbed(self):
-        direct = sf.build_collar_flat()
-        other = sf.build_collar_flat(SurfaceParameters.from_h(0.23))
-        assert not sf.are_isometric(direct, other)
+    def test_collar_boundary_lifts_lie_in_one_sheet(self, dyck):
+        c = sf.build_collar_flat()
+        labels = c.marks["boundary_labels"]
+        sheets = set()
+        for comp in sf.boundary_components(c):
+            (lbl,) = {labels[slot] for slot in comp}
+            (sheet,) = {f // len(dyck.faces) for f, _ in comp}
+            sheets.add((lbl, sheet))
+        assert sheets == {("bottom", 0), ("top", 1)}
+
+    def test_collar_soul_lifts_the_soul(self):
+        c = sf.build_collar_flat()
+        soul = c.marks["soul"]
+        assert len(soul) == 6
+        assert abs(sum(c.faces[f][e] for f, e in soul) - 2.0) < 1e-12
 
 
 class TestSubdivision:
@@ -377,16 +392,3 @@ class TestVertexFacesBuilder:
             assert s.euler_characteristic == 1
             assert abs(s.vertex_angles[s.vertex_of((0, 0))] - 2 * math.pi) < 1e-9
 
-
-class TestIsometries:
-    def test_torus_rectangle_vs_square(self):
-        assert not sf.are_isometric(sf.build_flat_torus(1, 1), sf.build_flat_torus(1, 2))
-
-    def test_klein_automorphisms_nonempty(self):
-        k = sf.build_flat_klein_bottle()
-        assert len(sf.isometries(k, k)) >= 1
-
-    def test_identity_always_found(self, dyck):
-        maps = sf.isometries(dyck, dyck, limit=None)
-        ident = {f: (f, (0, 1, 2)) for f in range(len(dyck.faces))}
-        assert ident in maps
