@@ -244,9 +244,11 @@ def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]) -> float:
     n = s.n_vertices
     K = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     u = np.zeros(n)
-    for v, val in fixed.items():
-        u[v] = val
-    free = np.array(sorted(set(range(n)) - set(fixed)), dtype=int)
+    held = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
+    u[held] = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
+    is_free = np.ones(n, dtype=bool)
+    is_free[held] = False
+    free = np.flatnonzero(is_free)
     if len(free):
         rhs = -(K @ u)[free]
         u[free] = spsolve(K[np.ix_(free, free)].tocsc(), rhs)
@@ -256,10 +258,11 @@ def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]) -> float:
 def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     """Capacity of a flat annulus by the piecewise-linear Rayleigh quotient.
 
-    The mesh is refined 4-to-1 until no edge exceeds mesh_h, at most
-    MAX_REFINE times (mesh_h = inf: never); conforming elements make the
-    discrete energy an upper bound that is nonincreasing under refinement.  Boundary values come from the two boundary labels in
-    alphabetical order (first label 0, second label 1).
+    The mesh is refined 4-to-1, on whole arrays, until no edge exceeds
+    mesh_h, at most MAX_REFINE times (mesh_h = inf: never).  Conforming
+    elements make the discrete energy an upper bound that is nonincreasing
+    under refinement.  Boundary values come from the two boundary labels
+    in alphabetical order (first label 0, second label 1).
     """
     if not mesh_h > 0:
         raise CapacityError("mesh_h must be positive")
@@ -270,7 +273,7 @@ def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     if not labels:
         raise CapacityError("annulus boundary is not labeled")
     refines = 0
-    while max(max(tri) for tri in s.faces) > mesh_h:
+    while s.lengths.max() > mesh_h:
         if refines >= MAX_REFINE:
             raise CapacityError("refinement limit reached before mesh_h")
         s = _surface.subdivide(s)
@@ -330,11 +333,12 @@ def fermi_chart_annulus(profile: CollarProfile, n_t: int = 96,
     cj = (j[..., None, None] + offsets[..., 1]).reshape(-1, 3)
     # vertex ids wrap in t, so lengths come from the grid coordinates
     lengths = _surface.side_lengths(grid[ci, cj])
-    tris = ((ci % n_t) * (n_s + 1) + cj).tolist()
+    tris = (ci % n_t) * (n_s + 1) + cj
     gluings, boundary = _surface.match_vertex_edges(tris)
     # a boundary slot runs along sigma = -/+ half, at grid row j = 0 or n_s
-    labels = {(f, e): "bottom" if tris[f][e] % (n_s + 1) == 0 else "top"
-              for f, e in boundary}
+    bottom = tris[boundary[:, 0], boundary[:, 1]] % (n_s + 1) == 0
+    labels = {(f, e): "bottom" if low else "top"
+              for (f, e), low in zip(boundary.tolist(), bottom.tolist())}
     return _surface.ConeSurface(lengths, gluings, name="fermi_chart",
                                 marks={"boundary_labels": labels})
 

@@ -28,6 +28,11 @@ SIDE_ANGLE_TOL = 1e-7
 # voronoi_cells decomposes the hexagonal annulus: faces of these regions
 # are left out
 EXCLUDED_REGIONS = ("mobius",)
+# most in-face node pairs a DistanceField builds; each pair holds about
+# 100 bytes while the graph is built
+MAX_FIELD_PAIRS = 10_000_000
+# most point-node distances DistanceField.eval_points holds at once
+EVAL_BLOCK = 1 << 15
 
 
 class GeodesicError(ValueError):
@@ -631,12 +636,25 @@ class DistanceField:
     distance.  The graph holds one entry per unordered node pair, the
     shortest of its in-face chords; pairs of a node with itself are
     dropped.  Graph paths are unions of in-face chords, and the node error
-    is O(mesh_h).
+    is O(mesh_h).  A graph of more than MAX_FIELD_PAIRS in-face node pairs
+    is refused before it is built.
     """
 
     def __init__(self, s: ConeSurface, mesh_h: float):
         if not 0 < mesh_h < math.inf:
             raise GeodesicError("mesh_h must be finite and positive")
+        # pieces per slot, as round() gives them; a glued slot takes the
+        # count of the record's first slot
+        g = s.glue_records
+        with np.errstate(over="ignore"):  # infinite counts fail the limit
+            pieces = np.maximum(1.0, np.rint(s.lengths / mesh_h))
+            pieces[g[:, 2], g[:, 3]] = pieces[g[:, 0], g[:, 1]]
+            per_face = pieces.sum(axis=1)
+            pairs = float((per_face * (per_face - 1) / 2).sum())
+        if pairs > MAX_FIELD_PAIRS:
+            raise GeodesicError(
+                f"mesh_h={mesh_h} needs {pairs:.3g} in-face node pairs, more "
+                f"than MAX_FIELD_PAIRS={MAX_FIELD_PAIRS}")
         self.surface = s
         self.mesh_h = mesh_h
         self.node_distance: np.ndarray | None = None
@@ -645,7 +663,7 @@ class DistanceField:
         edges = [((f, e), (f2, e2), flip) for f, e, f2, e2, flip in s.gluings]
         edges += [(slot, None, False) for slot in s.boundary_slots]
         for (f, e), twin, flip in edges:
-            k = max(1, round(s.faces[f][e] / mesh_h))
+            k = int(pieces[f, e])
             ids = np.concatenate(([s.vertex_of((f, e))], np.arange(n, n + k - 1),
                                   [s.vertex_of((f, (e + 1) % 3))]))
             n += k - 1
@@ -667,14 +685,16 @@ class DistanceField:
             iu, ju = np.triu_indices(len(ids), k=1)
             rows.append(ids[iu])
             cols.append(ids[ju])
-            vals.append(np.linalg.norm(pos[iu] - pos[ju], axis=1))
+            vals.append(_hypot(pos[iu], pos[ju]))
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
         pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
         keep = rows != cols
         pair, vals = pair[keep], vals[keep]
-        order = np.lexsort((vals, pair))
-        pair, first = np.unique(pair[order], return_index=True)
-        self._graph = sp.csr_matrix((vals[order][first], divmod(pair, n)),
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        shortest = np.minimum.reduceat(vals[order], first)
+        self._graph = sp.csr_matrix((shortest, divmod(pair[first], n)),
                                     shape=(n, n))
 
     def _vertex_node(self, v) -> int:
@@ -702,14 +722,32 @@ class DistanceField:
 
     def eval_points(self, f: int, pts: np.ndarray) -> np.ndarray:
         """Distance at interior points of face f: through the nearest boundary
-        node (exact up to the node spacing)."""
+        node (exact up to the node spacing).  Points are taken in blocks of
+        at most EVAL_BLOCK point-node distances."""
         ids, pos = self._face_nodes[f]
         d = self._solved()[ids]
-        dm = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
-        return (dm + d[None, :]).min(axis=1)
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty(len(pts))
+        step = max(1, EVAL_BLOCK // len(ids))
+        for i in range(0, len(pts), step):
+            dm = _hypot(pts[i:i + step, None, :], pos[None, :, :])
+            dm += d
+            dm.min(axis=1, out=out[i:i + step])
+        return out
 
     def vertex_distance(self, v: int) -> float:
         return float(self._solved()[self._vertex_node(v)])
+
+
+def _hypot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances between broadcast 2-D points p and q; the same floats as
+    np.linalg.norm(p - q, axis=-1), without its (..., 2) temporary."""
+    dx = p[..., 0] - q[..., 0]
+    dy = p[..., 1] - q[..., 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _subtriangle_centroids(s: ConeSurface, f: int, m: int):

@@ -47,23 +47,47 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def glued_corners(g: tuple[int, int, int, int, bool]) -> list[tuple[Corner, Corner]]:
-    """Corner identifications induced by one gluing record."""
-    f, e, f2, e2, flip = g
-    if flip:
-        return [((f, e), (f2, (e2 + 1) % 3)), ((f, (e + 1) % 3), (f2, e2))]
-    return [((f, e), (f2, e2)), ((f, (e + 1) % 3), (f2, (e2 + 1) % 3))]
+def _face_table(faces) -> np.ndarray:
+    """(F, 3) float copy of the face side lengths."""
+    try:
+        lengths = np.array(faces, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SurfaceError(f"faces must be rows of three lengths: {exc}") from None
+    if lengths.shape == (0,):
+        lengths = lengths.reshape(0, 3)
+    if lengths.ndim != 2 or lengths.shape[1] != 3:
+        raise SurfaceError("faces must be rows of three lengths")
+    return lengths
+
+
+def _gluing_table(gluings) -> np.ndarray:
+    """(G, 5) int copy of the gluing records, flip as 0 or 1."""
+    try:
+        g = np.array(gluings)
+    except (TypeError, ValueError) as exc:
+        raise SurfaceError(f"gluing records must have 5 entries: {exc}") from None
+    if g.shape == (0,):
+        g = np.zeros((0, 5), dtype=np.intp)
+    if g.ndim != 2 or g.shape[1] != 5:
+        raise SurfaceError("gluing records must have 5 entries")
+    if g.dtype.kind not in "biu":
+        raise SurfaceError("gluing records need integer slot indices")
+    g = g.astype(np.intp)
+    g[:, 4] = g[:, 4] != 0
+    return g
 
 
 class ConeSurface:
-    """Immutable triangulated piecewise-flat surface, possibly with boundary."""
+    """Immutable triangulated piecewise-flat surface, possibly with boundary.
+
+    `lengths` is the (F, 3) float array of side lengths and `glue_records`
+    the (G, 5) int array of gluing records, both read-only; `faces` and
+    `gluings` are the same as lists of tuples, built on first use.
+    """
 
     def __init__(self, faces, gluings, name: str = "", marks: dict | None = None):
-        self.faces = [tuple(float(l) for l in tri) for tri in faces]
-        self.gluings = [
-            (int(f), int(e), int(f2), int(e2), bool(flip))
-            for (f, e, f2, e2, flip) in gluings
-        ]
+        self.lengths = _read_only(_face_table(faces))
+        self.glue_records = _read_only(_gluing_table(gluings))
         self.name = name
         self.marks = marks or {}
         self._validate()
@@ -71,21 +95,44 @@ class ConeSurface:
     # -- validation and derived combinatorics ---------------------------
 
     def _validate(self):
-        for i, (a, b, c) in enumerate(self.faces):
-            if not (a + b > c and b + c > a and c + a > b):
-                raise SurfaceError(f"face {i} violates the triangle inequality")
-        seen: set[Slot] = set()
-        for f, e, f2, e2, flip in self.gluings:
-            for s in ((f, e), (f2, e2)):
-                if s in seen:
-                    raise SurfaceError(f"slot {s} glued twice")
-                seen.add(s)
-                if not (0 <= s[0] < len(self.faces) and 0 <= s[1] < 3):
-                    raise SurfaceError(f"slot {s} out of range")
-            if abs(self.faces[f][e] - self.faces[f2][e2]) > GLUE_LENGTH_TOL:
-                raise SurfaceError(
-                    f"glued edges ({f},{e})~({f2},{e2}) have unequal lengths"
-                )
+        """Raise the error a scan of the faces, then of the gluing records
+        in order, would meet first: per record, each slot glued twice or
+        out of range, then the two edge lengths."""
+        a, b, c = self.lengths.T
+        bad = ~((a + b > c) & (b + c > a) & (c + a > b))
+        if bad.any():
+            raise SurfaceError(f"face {int(bad.argmax())} violates the triangle inequality")
+        g = self.glue_records
+        slots = g[:, :4].reshape(-1, 2)  # slot 2i + j is slot j of record i
+        f, e = slots.T
+        outside = ~((0 <= f) & (f < len(self.lengths)) & (0 <= e) & (e < 3))
+        # out-of-range slots get distinct keys: the first one already fails
+        key = np.where(outside, -1 - np.arange(len(slots)), 3 * f + e)
+        order = np.argsort(key, kind="stable")
+        twice = np.zeros(len(slots), dtype=bool)
+        twice[order[1:]] = key[order[1:]] == key[order[:-1]]
+        ends = self.lengths[np.where(outside, 0, f), np.where(outside, 0, e)]
+        unequal = np.abs(ends[0::2] - ends[1::2]) > GLUE_LENGTH_TOL
+        events = np.column_stack([twice[0::2], outside[0::2], twice[1::2],
+                                  outside[1::2], unequal]).ravel()
+        if not events.any():
+            return
+        i, stage = divmod(int(events.argmax()), 5)
+        if stage == 4:
+            f, e, f2, e2 = g[i, :4].tolist()
+            raise SurfaceError(
+                f"glued edges ({f},{e})~({f2},{e2}) have unequal lengths")
+        s = tuple(slots[2 * i + stage // 2].tolist())
+        raise SurfaceError(f"slot {s} {'out of range' if stage % 2 else 'glued twice'}")
+
+    @cached_property
+    def faces(self) -> list[tuple[float, float, float]]:
+        return list(map(tuple, self.lengths.tolist()))
+
+    @cached_property
+    def gluings(self) -> list[tuple[int, int, int, int, bool]]:
+        return [(f, e, f2, e2, bool(flip))
+                for f, e, f2, e2, flip in self.glue_records.tolist()]
 
     @cached_property
     def glue_map(self) -> dict[Slot, tuple[int, int, bool]]:
@@ -97,12 +144,12 @@ class ConeSurface:
 
     @cached_property
     def boundary_slots(self) -> list[Slot]:
-        return [
-            (f, e)
-            for f in range(len(self.faces))
-            for e in range(3)
-            if (f, e) not in self.glue_map
-        ]
+        """Unglued slots, in order of face and slot."""
+        free = np.ones(self.lengths.shape, dtype=bool)
+        g = self.glue_records
+        free[g[:, 0], g[:, 1]] = False
+        free[g[:, 2], g[:, 3]] = False
+        return list(map(tuple, np.argwhere(free).tolist()))
 
     @property
     def is_closed(self) -> bool:
@@ -112,9 +159,14 @@ class ConeSurface:
     def vertex_ids(self) -> np.ndarray:
         """(F, 3) vertex id of each corner; vertices are numbered in order
         of their first corner."""
-        pairs = [(3 * f + c, 3 * f2 + c2) for g in self.gluings
-                 for (f, c), (f2, c2) in glued_corners(g)]
-        return _read_only(_components(3 * len(self.faces), pairs).reshape(-1, 3))
+        f, e, f2, e2, flip = self.glue_records.T
+        # flip=False matches v_e ~ v_e2 and v_{e+1} ~ v_{e2+1}; flip=True
+        # matches v_e ~ v_{e2+1} and v_{e+1} ~ v_e2
+        e1, e21 = (e + 1) % 3, (e2 + 1) % 3
+        pairs = np.concatenate([
+            np.column_stack([3 * f + e, 3 * f2 + np.where(flip, e21, e2)]),
+            np.column_stack([3 * f + e1, 3 * f2 + np.where(flip, e2, e21)])])
+        return _read_only(_components(3 * len(self.lengths), pairs).reshape(-1, 3))
 
     def vertex_of(self, corner: Corner) -> int:
         return int(self.vertex_ids[corner[0], corner[1]])
@@ -125,11 +177,11 @@ class ConeSurface:
 
     @property
     def n_edges(self) -> int:
-        return len(self.gluings) + len(self.boundary_slots)
+        return len(self.glue_records) + len(self.boundary_slots)
 
     @property
     def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + len(self.faces)
+        return self.n_vertices - self.n_edges + len(self.lengths)
 
     def face_angles(self, f: int) -> tuple[float, float, float]:
         return tuple(self.corner_angles[f].tolist())
@@ -169,8 +221,8 @@ class ConeSurface:
     def orientable(self) -> bool:
         """No face has both its sheets in one component of the two-sheeted
         cover: each component then lifts to two copies of itself."""
-        F = len(self.faces)
-        comp = _components(2 * F, [(f, f2) for f, _, f2, _, _ in _sheet_gluings(self)])
+        F = len(self.lengths)
+        comp = _components(2 * F, _sheet_gluings(self)[:, [0, 2]])
         return bool((comp[:F] != comp[F:]).all())
 
     def face_area(self, f: int) -> float:
@@ -186,7 +238,7 @@ class ConeSurface:
     def corner_cos(self) -> np.ndarray:
         """(F, 3) cosine of each corner angle by the law of cosines; the
         angle at corner c lies between sides c and c-1, opposite side c+1."""
-        l = np.array(self.faces, dtype=float).reshape(-1, 3)
+        l = self.lengths
         adj1, adj2, opp = l, l[:, [2, 0, 1]], l[:, [1, 2, 0]]
         cosv = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
         return _read_only(np.clip(cosv, -1.0, 1.0))
@@ -201,7 +253,7 @@ class ConeSurface:
     @cached_property
     def face_areas(self) -> np.ndarray:
         """(F,) area of each face by Heron's formula."""
-        a, b, c = np.array(self.faces, dtype=float).reshape(-1, 3).T
+        a, b, c = self.lengths.T
         s = (a + b + c) / 2
         return _read_only(np.sqrt(np.maximum(0.0, s * (s - a) * (s - b) * (s - c))))
 
@@ -209,9 +261,9 @@ class ConeSurface:
     def charts(self) -> np.ndarray:
         """(F, 3, 2) planar coordinates of each face: corner 0 at the origin,
         corner 1 on the +x axis, corner 2 above it."""
-        out = np.zeros((len(self.faces), 3, 2))
+        out = np.zeros((len(self.lengths), 3, 2))
         for f, ((l0, _, l2), a0) in enumerate(
-                zip(self.faces, self.corner_angles[:, 0].tolist())):
+                zip(self.lengths.tolist(), self.corner_angles[:, 0].tolist())):
             out[f, 1, 0] = l0
             out[f, 2] = l2 * math.cos(a0), l2 * math.sin(a0)
         return _read_only(out)
@@ -226,9 +278,9 @@ class ConeSurface:
         and sigma = +-1 is the in-chart rotation sense from E toward the
         corner interior.
         """
-        out = np.zeros((len(self.faces), 3, 4))
+        out = np.zeros((len(self.lengths), 3, 4))
         done = set()
-        for f in range(len(self.faces)):
+        for f in range(len(self.lengths)):
             for c in range(3):
                 if (f, c) in done:
                     continue
@@ -447,23 +499,25 @@ def cut_along_graph(s: ConeSurface, g: CutGraph) -> ConeSurface:
         cut.add(slot)
         cut.add(twin)
     keep = [rec for rec in s.gluings if (rec[0], rec[1]) not in cut]
-    return ConeSurface(s.faces, keep, name=s.name + "|cut", marks=dict(s.marks))
+    return ConeSurface(s.lengths, keep, name=s.name + "|cut", marks=dict(s.marks))
 
 
 # -- orientation double cover ------------------------------------------
 
 
-def _sheet_gluings(s: ConeSurface) -> list[tuple[int, int, int, int, bool]]:
+def _sheet_gluings(s: ConeSurface) -> np.ndarray:
     """Gluings of the two-sheeted cover, whose face f + k*F is face f on
     sheet k: a gluing keeps the sheet when flip=True, which preserves the
-    face-orientation sign, and swaps it otherwise."""
-    F = len(s.faces)
-    out = []
-    for f, e, f2, e2, flip in s.gluings:
-        other = 0 if flip else F
-        out.append((f, e, f2 + other, e2, flip))
-        out.append((f + F, e, f2 + (F - other), e2, flip))
-    return out
+    face-orientation sign, and swaps it otherwise.  Record i of s gives
+    records 2i (from sheet 0) and 2i + 1 (from sheet 1)."""
+    F = len(s.lengths)
+    g = s.glue_records
+    other = np.where(g[:, 4] == 1, 0, F)
+    lift = np.stack([g, g], axis=1)
+    lift[:, 0, 2] += other
+    lift[:, 1, 0] += F
+    lift[:, 1, 2] += F - other
+    return lift.reshape(-1, 5)
 
 
 def orientation_double_cover(s: ConeSurface) -> ConeSurface:
@@ -471,9 +525,7 @@ def orientation_double_cover(s: ConeSurface) -> ConeSurface:
     across every orientation-reversing gluing."""
     if s.orientable:
         raise SurfaceError("surface is already orientable")
-    F = len(s.faces)
-    faces = list(s.faces) + list(s.faces)
-    gluings = _sheet_gluings(s)
+    F = len(s.lengths)
     marks = {}
     for k, v in s.marks.items():
         if k in ("weierstrass", "soul"):
@@ -485,7 +537,8 @@ def orientation_double_cover(s: ConeSurface) -> ConeSurface:
         elif k == "boundary_labels":
             marks[k] = {slot: lbl for (f, e), lbl in v.items()
                         for slot in ((f, e), (f + F, e))}
-    return ConeSurface(faces, gluings, name=s.name + "|cover", marks=marks)
+    return ConeSurface(np.concatenate([s.lengths, s.lengths]), _sheet_gluings(s),
+                       name=s.name + "|cover", marks=marks)
 
 
 # -- uniform 4-to-1 subdivision ----------------------------------------
@@ -496,23 +549,26 @@ def _half_slot(f: int, e: int, k: int) -> Slot:
     return (4 * f + (e + k) % 3, e)
 
 
+# the three inner gluings of face f's children, with 4f added to columns
+# 0 and 2: corner children 4f, 4f+1, 4f+2 against the middle child 4f+3
+_INNER_GLUINGS = np.array([[0, 1, 3, 2, 1], [1, 2, 3, 0, 1], [2, 0, 3, 1, 1]])
+
+
 def subdivide(s: ConeSurface) -> ConeSurface:
-    faces = []
-    gluings = []
-    for f, (l0, l1, l2) in enumerate(s.faces):
-        h0, h1, h2 = l0 / 2, l1 / 2, l2 / 2
-        faces += [(h0, h1, h2), (h0, h1, h2), (h0, h1, h2), (h2, h0, h1)]
-        d = 4 * f + 3
-        gluings += [
-            (4 * f, 1, d, 2, True),
-            (4 * f + 1, 2, d, 0, True),
-            (4 * f + 2, 0, d, 1, True),
-        ]
-    for f, e, f2, e2, flip in s.gluings:
-        for k in range(2):
-            k2 = 1 - k if flip else k
-            a, b = _half_slot(f, e, k), _half_slot(f2, e2, k2)
-            gluings.append((a[0], a[1], b[0], b[1], flip))
+    """Uniform 4-to-1 subdivision.  Face f has children 4f + c at corner c
+    and 4f + 3 in the middle; the records are the inner gluings of each
+    face in face order, then the two halves of each parent gluing."""
+    F = len(s.lengths)
+    h = s.lengths / 2
+    faces = np.stack([h, h, h, h[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
+    inner = _INNER_GLUINGS + (4 * np.arange(F))[:, None, None] * [1, 0, 1, 0, 0]
+    # half k of parent edge (f, e) is slot e of child 4f + (e + k) % 3
+    f, e, f2, e2, flip = (c[:, None] for c in s.glue_records.T)
+    k = np.array([[0, 1]])
+    k2 = np.where(flip == 1, 1 - k, k)  # a flip pairs the halves crosswise
+    halves = np.stack(np.broadcast_arrays(
+        4 * f + (e + k) % 3, e, 4 * f2 + (e2 + k2) % 3, e2, flip), axis=-1)
+    gluings = np.concatenate([inner.reshape(-1, 5), halves.reshape(-1, 5)])
     marks = {}
     for k, v in s.marks.items():
         if k in ("weierstrass",):
@@ -580,10 +636,9 @@ def surface_from_vertex_faces(coords, faces, name: str = "", marks=None) -> Cone
     are recovered from shared (unordered) vertex-id pairs.
     """
     coords = np.asarray(coords, dtype=float)
-    tris = [tuple(tri) for tri in faces]
+    tris = np.array(faces, dtype=int).reshape(-1, 3)
     gluings, _ = match_vertex_edges(tris)
-    lengths = side_lengths(coords[np.array(tris, dtype=int).reshape(-1, 3)])
-    return ConeSurface(lengths, gluings, name=name, marks=marks)
+    return ConeSurface(side_lengths(coords[tris]), gluings, name=name, marks=marks)
 
 
 def side_lengths(pts) -> np.ndarray:
@@ -594,30 +649,39 @@ def side_lengths(pts) -> np.ndarray:
     return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def match_vertex_edges(tris) -> tuple[list[tuple], list[Slot]]:
-    """Gluings and boundary slots of a vertex-indexed triangulation.
+def match_vertex_edges(tris) -> tuple[np.ndarray, np.ndarray]:
+    """Gluings (G, 5) and boundary slots (B, 2) of a vertex-indexed
+    triangulation, as int arrays.
 
     Two slots whose (unordered) vertex-id pairs coincide are glued; a slot
     whose pair occurs once is a boundary slot.  Slots are listed in order of
-    the first occurrence of their pair.
+    the first occurrence of their pair, and each gluing starts at that first
+    slot.
     """
-    edge_map: dict[tuple[int, int], list[Slot]] = {}
-    for f, tri in enumerate(tris):
-        for e in range(3):
-            key = tuple(sorted((tri[e], tri[(e + 1) % 3])))
-            edge_map.setdefault(key, []).append((f, e))
-    gluings, boundary = [], []
-    for key, occ in edge_map.items():
-        if len(occ) > 2:
-            raise SurfaceError(f"edge {key} shared by more than two faces")
-        if len(occ) == 2:
-            (f, e), (f2, e2) = occ
-            # different start vertices: endpoints pair up crosswise
-            flip = tris[f][e] != tris[f2][e2]
-            gluings.append((f, e, f2, e2, bool(flip)))
-        else:
-            boundary += occ
-    return gluings, boundary
+    t = np.asarray(tris, dtype=np.intp).reshape(-1, 3)
+    start = t.ravel()  # slot 3f + e runs from corner e to corner e + 1
+    end = np.roll(t, -1, axis=1).ravel()
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    order = np.lexsort((hi, lo))  # stable: each pair's slots stay in order
+    lo_s, hi_s = lo[order], hi[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(order)))
+    by_first = np.argsort(order[starts])
+    starts, counts = starts[by_first], counts[by_first]
+    first = order[starts]
+    if (counts > 2).any():
+        k = first[np.argmax(counts > 2)]
+        raise SurfaceError(
+            f"edge {(int(lo[k]), int(hi[k]))} shared by more than two faces")
+    glued = counts == 2
+    a, b = first[glued], order[starts[glued] + 1]
+    # different start vertices: endpoints pair up crosswise
+    flip = start[a] != start[b]
+    gluings = np.column_stack([a // 3, a % 3, b // 3, b % 3, flip])
+    one = first[~glued]
+    return gluings, np.column_stack([one // 3, one % 3])
 
 
 def build_flat_torus(a: float = 1.0, b: float = 1.0, shear: float = 0.0) -> ConeSurface:
@@ -695,7 +759,7 @@ def build_round_annulus(r_in: float, r_out: float, n_theta: int = 48, n_r: int =
     for f, e in s.boundary_slots:
         inner = f < 2 * n_theta
         labels[(f, e)] = "bottom" if inner else "top"
-    return ConeSurface(s.faces, s.gluings, name=f"annulus({r_in},{r_out})",
+    return ConeSurface(s.lengths, s.glue_records, name=f"annulus({r_in},{r_out})",
                        marks={"boundary_labels": labels})
 
 
@@ -793,7 +857,7 @@ def build_collar_flat(p: SurfaceParameters | None = None) -> ConeSurface:
     """
     s = build_extremal_dyck(p)
     cover = orientation_double_cover(cut_along_graph(s, extremal_cut_graph(s)))
-    F = len(s.faces)
+    F = len(s.lengths)
     labels = {(f, e): "bottom" if f < F else "top" for f, e in cover.boundary_slots}
-    return ConeSurface(cover.faces, cover.gluings, name="collar_flat",
+    return ConeSurface(cover.lengths, cover.glue_records, name="collar_flat",
                        marks={**cover.marks, "boundary_labels": labels})

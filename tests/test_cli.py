@@ -196,6 +196,12 @@ class TestHexoptAndCapacity:
         assert rep["upper"]["consistent"] is True
         assert abs(rep["upper"]["mesh"] - rep["upper"]["closed_form"]) <= 1e-3
 
+    def test_capacity_upper_mesh_check_too_fine(self, capsys):
+        # the distance field would need about 2.6e9 node pairs
+        assert main(["--mesh-h", "0.00005", "capacity", "upper",
+                     "--mesh-check"]) == 3
+        assert "MAX_FIELD_PAIRS" in capsys.readouterr().err
+
     def test_capacity_certify(self, capsys):
         code, rep = run_json(capsys, "capacity", "certify")
         assert code == 0

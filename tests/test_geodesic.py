@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import loop_reference as loop
+from dycksurf import geodesic as geo
 from dycksurf import surface as sf
 from dycksurf.geodesic import (
     DistanceField,
@@ -326,6 +328,37 @@ class TestDistanceFieldAndSublevel:
         assert graph.keys() == chords.keys()
         assert [graph[k] for k in chords] == pytest.approx(
             list(chords.values()), rel=1e-15)
+
+    @pytest.mark.parametrize("block", ["default", "seven", "one"])
+    def test_eval_points_match_dense_norm(self, monkeypatch, block):
+        # bit for bit the dense np.linalg.norm formula, on points that cross
+        # block boundaries (the last block holds one point)
+        c = sf.build_collar_flat()
+        field = DistanceField(c, 0.02).solve(source_slots=c.marks["soul"])
+        rng = np.random.default_rng(3)
+        for f in (0, 40, 83):
+            n = len(field._face_nodes[f][0])
+            size = {"default": geo.EVAL_BLOCK, "seven": 7 * n, "one": 1}[block]
+            monkeypatch.setattr(geo, "EVAL_BLOCK", size)
+            step = max(1, size // n)
+            pts = rng.uniform(-0.2, 0.8, size=(2 * step + 1, 2))
+            assert (field.eval_points(f, pts).tobytes()
+                    == loop.eval_points(field, f, pts).tobytes())
+
+    def test_size_limit_counts_the_in_face_pairs(self, monkeypatch):
+        c = sf.build_collar_flat()
+        field = DistanceField(c, 0.05)
+        pairs = sum(len(ids) * (len(ids) - 1) // 2 for ids, _ in field._face_nodes)
+        monkeypatch.setattr(geo, "MAX_FIELD_PAIRS", pairs)
+        DistanceField(c, 0.05)
+        monkeypatch.setattr(geo, "MAX_FIELD_PAIRS", pairs - 1)
+        with pytest.raises(GeodesicError, match="MAX_FIELD_PAIRS"):
+            DistanceField(c, 0.05)
+
+    @pytest.mark.parametrize("mesh_h", [5e-5, 1e-300])
+    def test_oversized_field_refused(self, mesh_h):
+        with pytest.raises(GeodesicError, match="MAX_FIELD_PAIRS"):
+            DistanceField(sf.build_collar_flat(), mesh_h)
 
     def test_read_before_solve_refused(self):
         field = DistanceField(sf.build_flat_torus(), 0.1)

@@ -1,11 +1,15 @@
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference as loop
 from dycksurf import surface as sf
 from dycksurf.constants import SurfaceParameters
 from dycksurf.surface import ConeSurface, CutGraph, SurfaceError
@@ -51,8 +55,8 @@ class TestConeSurfaceBasics:
     def test_tables_are_read_only_and_computed_once(self, dyck):
         with pytest.raises(ValueError):
             dyck.chart(0)[2, 0] = 0.0
-        for name in ("vertex_ids", "corner_cos", "corner_angles", "face_areas",
-                     "charts", "link_frames"):
+        for name in ("lengths", "glue_records", "vertex_ids", "corner_cos",
+                     "corner_angles", "face_areas", "charts", "link_frames"):
             table = getattr(dyck, name)
             assert getattr(dyck, name) is table
             with pytest.raises(ValueError):
@@ -73,7 +77,7 @@ class TestConeSurfaceBasics:
             return x
 
         for g in s.gluings:
-            for (f, c), (f2, c2) in sf.glued_corners(g):
+            for (f, c), (f2, c2) in loop.glued_corners(g):
                 a, b = find(3 * f + c), find(3 * f2 + c2)
                 parent[max(a, b)] = min(a, b)
         ids: dict[int, int] = {}
@@ -392,3 +396,173 @@ class TestVertexFacesBuilder:
             assert s.euler_characteristic == 1
             assert abs(s.vertex_angles[s.vertex_of((0, 0))] - 2 * math.pi) < 1e-9
 
+
+
+def grid_triangulation(nx, ny, wrap_x=False, reflect=None, wrap_y=False):
+    """Vertex ids (F, 3) and corner positions (F, 3, 2) of an nx x ny grid
+    of unit squares, each cut along its rising diagonal.  wrap_y glues row
+    ny to row 0; wrap_x glues column nx to column 0, by translation or,
+    when reflect is an int, by y -> reflect - y (mod ny if wrap_y, else
+    y -> ny - y)."""
+
+    def vid(i, j):
+        if wrap_y:
+            j %= ny
+        if wrap_x and i == nx:
+            i = 0
+            if reflect is not None:
+                j = (reflect - j) % ny if wrap_y else ny - j
+        return i * (ny + 1) + j
+
+    tris, pts = [], []
+    for i in range(nx):
+        for j in range(ny):
+            for tri in (((i, j), (i + 1, j), (i + 1, j + 1)),
+                        ((i, j), (i + 1, j + 1), (i, j + 1))):
+                tris.append([vid(a, b) for a, b in tri])
+                pts.append(tri)
+    return np.array(tris), np.array(pts, dtype=float)
+
+
+def shifted_klein_bottle():
+    """3 x 4 flat Klein bottle whose sides glue by y -> 1 - y (mod 4)."""
+    tris, pts = grid_triangulation(3, 4, wrap_x=True, reflect=1, wrap_y=True)
+    gluings, _ = sf.match_vertex_edges(tris)
+    return ConeSurface(sf.side_lengths(pts), gluings, name="shifted_klein")
+
+
+class TestArrayConstruction:
+    """The array code gives the records, in order, of its loop reference."""
+
+    @pytest.mark.parametrize("build", [
+        sf.build_extremal_dyck, sf.build_collar_flat, shifted_klein_bottle,
+        lambda: sf.build_cylinder(2.0, 0.5)])
+    def test_subdivide_matches_loop(self, build):
+        s = build()
+        faces, gluings, marks = loop.subdivide(s)
+        sub = sf.subdivide(s)
+        assert sub.faces == faces
+        assert sub.gluings == gluings
+        assert repr(sub.marks) == repr(marks)  # order of every mark kind too
+
+    def test_every_mark_kind_is_covered(self):
+        assert set(sf.build_collar_flat().marks) == {
+            "weierstrass", "p", "q", "soul", "region", "cell", "boundary_labels"}
+
+    def test_shifted_klein_bottle(self):
+        k = shifted_klein_bottle()
+        assert k.euler_characteristic == 0
+        assert not k.orientable
+        assert k.is_closed
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 3)), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_match_vertex_edges_on_grids(self, nx, ny, wrap_x, reflect, wrap_y, rnd):
+        # boundary, one-sided gluings, and faces in random order and with
+        # random orientations
+        tris, _ = grid_triangulation(nx, ny, wrap_x, reflect, wrap_y)
+        tris = [list(t) for t in tris.tolist()]
+        rnd.shuffle(tris)
+        tris = [t[::-1] if rnd.random() < 0.5 else t for t in tris]
+        self._agree(tris)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3),
+                    max_size=8))
+    def test_match_vertex_edges_on_random_triples(self, tris):
+        self._agree(tris)
+
+    @staticmethod
+    def _agree(tris):
+        try:
+            ref = loop.match_vertex_edges(tris)
+        except SurfaceError as exc:
+            with pytest.raises(SurfaceError) as got:
+                sf.match_vertex_edges(tris)
+            assert str(got.value) == str(exc)
+            return
+        gluings, boundary = sf.match_vertex_edges(tris)
+        assert [tuple(g) for g in gluings.tolist()] == ref[0]
+        assert [tuple(b) for b in boundary.tolist()] == ref[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 3.0, math.nan])] * 3),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 3),
+                              st.integers(-1, 4), st.integers(-1, 3),
+                              st.booleans()), max_size=5))
+    def test_validation_matches_loop(self, faces, gluings):
+        try:
+            loop.validate(faces, gluings)
+        except SurfaceError as exc:
+            with pytest.raises(SurfaceError) as got:
+                ConeSurface(faces, gluings)
+            assert str(got.value) == str(exc)
+        else:
+            s = ConeSurface(faces, gluings)
+            assert s.faces == faces
+            assert s.gluings == gluings
+            glued = {slot for f, e, f2, e2, _ in gluings for slot in ((f, e), (f2, e2))}
+            assert s.boundary_slots == [(f, e) for f in range(len(faces))
+                                        for e in range(3) if (f, e) not in glued]
+
+    def test_caller_arrays_stay_writeable(self):
+        lengths = np.ones((1, 3))
+        s = ConeSurface(lengths, np.zeros((0, 5), dtype=int))
+        lengths[0, 0] = 2.0
+        assert s.faces == [(1.0, 1.0, 1.0)]
+
+
+class TestTypedErrors:
+    """Malformed input raises SurfaceError, with the message of its fault."""
+
+    TRI = (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("faces", [
+        [(1.0, 1.0, 1.0), (1.0, 1.0)], [(1.0, 1.0, 1.0, 1.0)], [1.0, 1.0, 1.0],
+        [("a", 1.0, 1.0)], [()]])
+    def test_malformed_faces(self, faces):
+        with pytest.raises(SurfaceError, match="three lengths"):
+            ConeSurface(faces, [])
+
+    @pytest.mark.parametrize("gluings", [
+        [(0, 0, 1, 0)], [(0, 0, 1, 0, False, 0)], [(0, 0, 1, 0, False), (0, 1)],
+        [()]])
+    def test_records_not_of_five(self, gluings):
+        with pytest.raises(SurfaceError, match="5 entries"):
+            ConeSurface([self.TRI] * 2, gluings)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, math.nan, "1", None])
+    def test_non_integer_slot(self, bad):
+        # int() truncated these: 1.5 was slot 1
+        with pytest.raises(SurfaceError, match="integer slot indices"):
+            ConeSurface([self.TRI] * 2, [(0, 0, bad, 0, False)])
+
+    @pytest.mark.parametrize("rec, slot", [
+        ((0, -1, 1, 0, False), "(0, -1)"), ((-1, 0, 1, 0, False), "(-1, 0)"),
+        ((0, 0, 2, 0, True), "(2, 0)"), ((0, 0, 1, 3, True), "(1, 3)")])
+    def test_out_of_range(self, rec, slot):
+        with pytest.raises(SurfaceError, match=f"slot {re.escape(slot)} out of range"):
+            ConeSurface([self.TRI] * 2, [rec])
+
+    @pytest.mark.parametrize("face", [
+        (math.nan, 1.0, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, 3.0)])
+    def test_triangle_inequality(self, face):
+        with pytest.raises(SurfaceError, match="face 1 violates the triangle inequality"):
+            ConeSurface([self.TRI, face], [])
+
+    def test_glued_twice(self):
+        with pytest.raises(SurfaceError, match=r"slot \(0, 0\) glued twice"):
+            ConeSurface([self.TRI] * 3, [(0, 0, 1, 0, False), (2, 0, 0, 0, False)])
+
+    def test_unequal_lengths(self):
+        with pytest.raises(SurfaceError,
+                           match=r"glued edges \(0,1\)~\(1,0\) have unequal lengths"):
+            ConeSurface([self.TRI, (2.0, 2.0, 2.0)], [(0, 1, 1, 0, False)])
+
+    def test_shared_by_more_than_two_faces(self):
+        with pytest.raises(SurfaceError,
+                           match=r"edge \(0, 1\) shared by more than two faces"):
+            sf.match_vertex_edges([(0, 1, 2), (1, 0, 3), (0, 1, 4)])
