@@ -261,18 +261,6 @@ class SurfaceParameters:
             delta = float(mp.mpf(1) / 2 - _mp_h())
         return cls(alpha=alpha, theta=theta, h=h, delta=delta)
 
-    @classmethod
-    def from_h(cls, h: float) -> "SurfaceParameters":
-        """Rebuild the dependent parameters from an arbitrary h in (0, 1/4),
-        with theta from sin(theta/2) = 2h so the trapezoid still closes up.
-        Away from the paper's h, tan(theta) = 6h then fails, which
-        check_defining_relations reports."""
-        if not 0 < h < 0.25:
-            raise ValueError("h must lie in (0, 1/4)")
-        theta = 2 * math.asin(2 * h)
-        alpha = (math.pi - theta) / 2
-        return cls(alpha=alpha, theta=theta, h=h, delta=0.5 - h)
-
     @property
     def leg(self) -> float:
         """Trapezoid leg length h/sin(alpha)."""

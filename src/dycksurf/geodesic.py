@@ -14,6 +14,7 @@ import copy
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +34,8 @@ EXCLUDED_REGIONS = ("mobius",)
 MAX_FIELD_PAIRS = 10_000_000
 # most point-node distances DistanceField.eval_points holds at once
 EVAL_BLOCK = 1 << 15
+# most angle gaps _successors holds at once
+SUCC_BLOCK = 1 << 12
 
 
 class GeodesicError(ValueError):
@@ -43,8 +46,9 @@ class BudgetExceeded(RuntimeError):
     """Raised internally; callers receive a partial result with a flag."""
 
 
-def _unit(v):
-    return v / math.hypot(v[0], v[1])
+def _unit(x: float, y: float) -> tuple[float, float]:
+    n = math.hypot(x, y)
+    return x / n, y / n
 
 
 def _cross(a, b) -> float:
@@ -57,20 +61,13 @@ def _wrap(a: float, total: float) -> float:
     return 0.0 if total - a < 1e-9 else a
 
 
-# -- vertex links -------------------------------------------------------
-
-
-def _link_frame(s: ConeSurface, corner):
-    """(offset, E, sigma) of a corner; see ConeSurface.link_frames."""
-    row = s.link_frames[corner[0], corner[1]]
-    return float(row[0]), row[1:3], float(row[3])
-
-
-def angle_of(s: ConeSurface, corner, direction) -> float:
-    """Link coordinate of a chart direction emanating from the corner."""
-    off, E, sigma = _link_frame(s, corner)
-    psi = sigma * math.atan2(_cross(E, direction), float(E @ direction))
-    return _wrap(off + max(0.0, psi), s.vertex_angles[s.vertex_of(corner)])
+def _link_angle(off, sigma, ex, ey, dx, dy, theta) -> float:
+    """Link coordinate of the unit direction (dx, dy) leaving a corner whose
+    link frame (see ConeSurface.link_frames), expressed in the same plane,
+    has offset off, entry direction (ex, ey) and rotation sense sigma; theta
+    is the total angle at the vertex."""
+    psi = sigma * math.atan2(ex * dy - ey * dx, ex * dx + ey * dy)
+    return _wrap(off + max(0.0, psi), theta)
 
 
 # -- saddle connections -------------------------------------------------
@@ -117,66 +114,83 @@ class _Budget:
             raise BudgetExceeded
 
 
-def _window_intersect(a, b, c, d):
-    """Intersection of convex direction sectors [a,b] and [c,d] (< pi each).
-
-    Returns None for empty or pinched (zero-width) intersections: a window
-    pinches exactly when its one surviving ray ends at a vertex, and that
-    vertex is a corner of the face being crossed, so it has already been
-    captured; continuing would orbit the cone point forever.
-    """
-    lo = a if _cross(c, a) >= -WINDOW_TOL else c
-    hi = b if _cross(b, d) >= -WINDOW_TOL else d
-    if _cross(lo, hi) <= 1e-12:
-        return None
-    return lo, hi
-
-
-def _seg_min_dist(p0, p1) -> float:
-    d = p1 - p0
-    dd = float(d @ d)
-    if dd < 1e-30:
-        return float(np.linalg.norm(p0))
-    t = min(1.0, max(0.0, -float(p0 @ d) / dd))
-    return float(np.linalg.norm(p0 + t * d))
-
-
-def _in_window(wa, wb, ph) -> bool:
-    return _cross(wa, ph) >= -CAPTURE_TOL and _cross(ph, wb) >= -CAPTURE_TOL
-
-
 def _unfold(s, L_max, budget, stack):
-    """Windowed unfolding from the developing origin.
+    """Windowed unfolding from the developing origin, on plain floats.
 
-    Stack entries are (face, R, t, wa, wb, entry slot): x |-> R @ x + t
-    develops chart(face) into the plane and [wa, wb] is the sector of
+    Stack entries are (face, R, t, wa, wb, entry slot): x |-> R x + t, with
+    R = (R00, R01, R10, R11) and t = (t0, t1), develops chart(face) into the
+    plane, and the sector from the unit vector wa to wb is the set of
     directions still visible through the crossed edges.  Each popped face
-    spends one budget step and is yielded as (face, R, t, developed chart,
+    spends one budget step and is yielded as (face, R, t, developed corners,
     wa, wb); then every glued edge within L_max that the sector still sees
-    is pushed.  Edges through the origin are never crossed.
+    is pushed, in slot order.  Edges through the origin are never crossed.
+
+    The sector clip drops empty or pinched (zero-width) intersections: a
+    window pinches exactly when its one surviving ray ends at a vertex, and
+    that vertex is a corner of the face being crossed, so it has already
+    been captured; continuing would orbit the cone point forever.
     """
+    charts = s.chart_floats
+    transitions = s.transitions
+    sqrt = math.sqrt
     while stack:
         f, R, t, wa, wb, entry = stack.pop()
         budget.spend()
-        dev = (R @ s.chart(f).T).T + t
+        a, b, c, d = R
+        tx, ty = t
+        (x0, y0), (x1, y1), (x2, y2) = charts[f]
+        dev = ((a * x0 + b * y0 + tx, c * x0 + d * y0 + ty),
+               (a * x1 + b * y1 + tx, c * x1 + d * y1 + ty),
+               (a * x2 + b * y2 + tx, c * x2 + d * y2 + ty))
         yield f, R, t, dev, wa, wb
-        for e in range(3):
-            if e == entry:
+        (wax, way), (wbx, wby) = wa, wb
+        for e, tr in enumerate(transitions[f]):
+            if tr is None or e == entry:
                 continue
-            P0, P1 = dev[e], dev[(e + 1) % 3]
-            if _seg_min_dist(P0, P1) > L_max:
+            px, py = dev[e]
+            qx, qy = dev[(e + 1) % 3]
+            # distance from the origin to the edge
+            dx, dy = qx - px, qy - py
+            dd = dx * dx + dy * dy
+            if dd < 1e-30:
+                mx, my = px, py
+            else:
+                u = min(1.0, max(0.0, -(px * dx + py * dy) / dd))
+                mx, my = px + u * dx, py + u * dy
+            if sqrt(mx * mx + my * my) > L_max:
                 continue
-            r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
+            r0, r1 = sqrt(px * px + py * py), sqrt(qx * qx + qy * qy)
             if r0 < 1e-12 or r1 < 1e-12:
                 continue  # edge emanating from the origin
-            c0d, c1d = P0 / r0, P1 / r1
-            if _cross(c0d, c1d) < 0:
-                c0d, c1d = c1d, c0d
-            win = _window_intersect(wa, wb, c0d, c1d)
-            if win is None or (f, e) not in s.glue_map:
+            c0, c1 = (px / r0, py / r0), (qx / r1, qy / r1)
+            if c0[0] * c1[1] - c0[1] * c1[0] < 0:
+                c0, c1 = c1, c0
+            # clip the sector to the directions of the edge
+            lo = wa if c0[0] * way - c0[1] * wax >= -WINDOW_TOL else c0
+            hi = wb if wbx * c1[1] - wby * c1[0] >= -WINDOW_TOL else c1
+            if lo[0] * hi[1] - lo[1] * hi[0] <= 1e-12:
                 continue
-            f2, e2, _, Re, te = s.edge_transition(f, e)
-            stack.append((f2, R @ Re, R @ te + t, win[0], win[1], e2))
+            f2, e2, (ra, rb, rc, rd), (ex, ey) = tr
+            stack.append((f2, (a * ra + b * rc, a * rb + b * rd,
+                               c * ra + d * rc, c * rb + d * rd),
+                          (a * ex + b * ey + tx, c * ex + d * ey + ty), lo, hi, e2))
+
+
+def _in_window(wa, wb, hx, hy) -> bool:
+    return (wa[0] * hy - wa[1] * hx >= -CAPTURE_TOL
+            and hx * wb[1] - hy * wb[0] >= -CAPTURE_TOL)
+
+
+def _captures(dev, wa, wb, r_min, L_max):
+    """(corner, distance, unit direction) of each developed corner at
+    distance r_min <= r <= L_max + 1e-7 inside the sector [wa, wb]."""
+    for c, (px, py) in enumerate(dev):
+        r = math.sqrt(px * px + py * py)
+        if r < r_min or r > L_max + 1e-7:
+            continue
+        hx, hy = px / r, py / r
+        if _in_window(wa, wb, hx, hy):
+            yield c, r, hx, hy
 
 
 def enumerate_saddle_connections(
@@ -187,24 +201,28 @@ def enumerate_saddle_connections(
         raise GeodesicError("L_max must be finite and positive")
     found: dict[tuple, SaddleConnection] = {}
     bud = _Budget(budget)
+    vids = s.vertex_ids.tolist()
+    frames = s.link_frames.tolist()
+    thetas = s.vertex_angles
     try:
-        for f0 in range(len(s.faces)):
-            ch0 = s.chart(f0)
+        for f0, ch0 in enumerate(s.chart_floats):
             for c0 in range(3):
-                origin = ch0[c0]
-                start = tuple(origin)
-                wa = _unit(ch0[(c0 + 1) % 3] - origin)
-                wb = _unit(ch0[(c0 + 2) % 3] - origin)
+                start = ch0[c0]
+                v_src = vids[f0][c0]
+                off, ex, ey, sigma = frames[f0][c0]
+                (x1, y1), (x2, y2) = ch0[(c0 + 1) % 3], ch0[(c0 + 2) % 3]
+                wa = _unit(x1 - start[0], y1 - start[1])
+                wb = _unit(x2 - start[0], y2 - start[1])
                 if _cross(wa, wb) < 0:
                     wa, wb = wb, wa
-                seed = (f0, np.eye(2), -origin, wa, wb, None)
+                seed = (f0, (1.0, 0.0, 0.0, 1.0), (-start[0], -start[1]), wa, wb, None)
                 for f, R, _, dev, wa, wb in _unfold(s, L_max, bud, [seed]):
-                    for c in range(3):
-                        P = dev[c]
-                        r = float(np.linalg.norm(P))
-                        if r < 1e-9 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
-                            continue
-                        sc = _saddle_connection(s, (f0, c0), start, (f, c), P, r, R)
+                    for c, r, hx, hy in _captures(dev, wa, wb, 1e-9, L_max):
+                        a_src = _link_angle(off, sigma, ex, ey, hx, hy, thetas[v_src])
+                        v_dst = vids[f][c]
+                        a_dst = _arrival_angle(R, frames[f][c], hx, hy, thetas[v_dst])
+                        sc = SaddleConnection(v_src, a_src, v_dst, a_dst, r, f0,
+                                              start, (hx, hy))
                         found.setdefault(sc.key(), sc)
         complete = True
     except BudgetExceeded:
@@ -214,21 +232,16 @@ def enumerate_saddle_connections(
     return SaddleConnectionSet(conns, complete, bud.used)
 
 
-def _saddle_connection(s, src, start, dst, P, r, R) -> SaddleConnection:
-    """Connection from corner src (chart point `start`) to corner dst,
-    developed at P with |P| = r by a map with linear part R."""
-    a_src = angle_of(s, src, P / r)
-    back = -(P / r)
-    off_t, E_t, sigma_t = _link_frame(s, dst)
-    # directions develop by the rotation part only; a reflection in the
-    # developing map reverses the rotation sense
-    E_dev = R @ E_t
-    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
-    psi = sigma_t * det * math.atan2(_cross(E_dev, back), float(E_dev @ back))
-    v_dst = s.vertex_of(dst)
-    a_dst = _wrap(off_t + max(0.0, psi), s.vertex_angles[v_dst])
-    return SaddleConnection(s.vertex_of(src), a_src, v_dst, a_dst, r, src[0],
-                            start, tuple(P / r))
+def _arrival_angle(R, frame, hx, hy, theta) -> float:
+    """Link coordinate, at the far end, of the reversed direction of a
+    connection that arrives along (hx, hy) at a corner with link frame
+    `frame`, developed by a map with linear part R.  Directions develop by
+    the rotation part only; a reflection in the developing map reverses
+    the rotation sense."""
+    a, b, c, d = R
+    off, ex, ey, sigma = frame
+    return _link_angle(off, sigma * (a * d - b * c), a * ex + b * ey,
+                       c * ex + d * ey, -hx, -hy, theta)
 
 
 def _drop_colinear(conns) -> list[SaddleConnection]:
@@ -275,7 +288,7 @@ def trace_ray(s: ConeSurface, f: int, p, d, length: float,
     leaves the surface through a boundary edge.
     """
     p = np.asarray(p, dtype=float)
-    d = np.asarray(_unit(np.asarray(d, dtype=float)))
+    d = np.array(_unit(float(d[0]), float(d[1])))
     remaining = float(length)
     segs: list[Segment] = []
     for _ in range(100_000):
@@ -383,6 +396,7 @@ class EnumerationResult:
     paths: list[GeodesicPath]
     complete: bool
     n_saddle_connections: int
+    chain_nodes: int  # chains the cycle search extended, roots included
 
 
 def _chain_gap(theta: float, a_in: float, a_out: float) -> tuple[float, float]:
@@ -414,58 +428,104 @@ def _build_path(s: ConeSurface, cycle: list[SaddleConnection]) -> GeodesicPath:
     return GeodesicPath(segments, incidences, length, closed=True)
 
 
+def _successors(s: ConeSurface, conns: list[SaddleConnection]) -> list[list[int]]:
+    """For each connection i, the indices j, ascending, of the connections
+    that may follow it in a closed geodesic: j leaves the vertex where i
+    arrives, and both side angles of the turn, the _chain_gap of i's arrival
+    and j's departure, are at least pi - SIDE_ANGLE_TOL.  The gaps of each
+    vertex are taken in blocks of at most SUCC_BLOCK (in, out) pairs;
+    np.mod gives the floats of Python's %, so the lists are those of the
+    pairwise loop.  The lists share one int object per index."""
+    v_src = np.array([sc.v_src for sc in conns], dtype=np.intp)
+    v_dst = np.array([sc.v_dst for sc in conns], dtype=np.intp)
+    a_src = np.array([sc.a_src for sc in conns], dtype=float)
+    a_dst = np.array([sc.a_dst for sc in conns], dtype=float)
+    succ: list[list[int]] = [[] for _ in conns]
+    for v, theta in enumerate(s.vertex_angles):
+        ins, outs = np.flatnonzero(v_dst == v), np.flatnonzero(v_src == v)
+        if not len(ins) or not len(outs):
+            continue
+        outs_list = outs.tolist()
+        a_out = a_src[outs]
+        step = max(1, SUCC_BLOCK // len(outs))
+        for k in range(0, len(ins), step):
+            block = ins[k:k + step]
+            delta = np.mod(a_out - a_dst[block, None], theta)
+            ok = np.minimum(delta, theta - delta) >= math.pi - SIDE_ANGLE_TOL
+            for i, row in zip(block.tolist(), ok.tolist()):
+                succ[i] = list(compress(outs_list, row))
+    return succ
+
+
+def _closed_chains(conns, succ, L_max, budget: _Budget):
+    """Chains of connections that close up within L_max, one per class of
+    _cycle_canonical, and whether the search finished within the budget.
+
+    Depth-first from each connection i in index order over successors of
+    index above i, so each cycle is found from its smallest index; the
+    explicit stack visits chains in the order of the recursive search.
+    Each chain extended, the root included, spends one budget step.
+    """
+    lengths = [sc.length for sc in conns]
+    cap = L_max + 1e-9
+    seen: set = set()
+    cycles: list[list[SaddleConnection]] = []
+    try:
+        for i, length in enumerate(lengths):
+            if length > cap:
+                continue
+            budget.spend()
+            chain, acc, stack = [i], [length], [iter(succ[i])]
+            while stack:
+                for j in stack[-1]:
+                    if j < i:
+                        continue
+                    if j == i:
+                        cyc = [conns[k] for k in chain]
+                        key = _cycle_canonical(cyc)
+                        if key not in seen:
+                            seen.add(key)
+                            cycles.append(cyc)
+                        continue
+                    L = acc[-1] + lengths[j]
+                    if L > cap:
+                        continue
+                    budget.spend()
+                    chain.append(j)
+                    acc.append(L)
+                    stack.append(iter(succ[j]))
+                    break
+                else:
+                    stack.pop()
+                    chain.pop()
+                    acc.pop()
+    except BudgetExceeded:
+        return cycles, False
+    return cycles, True
+
+
 def enumerate_closed_geodesics(
     s: ConeSurface, L_max: float, budget: int = 400_000
 ) -> EnumerationResult:
     """Closed geodesics of length <= L_max as chains of saddle connections,
-    deduplicated by unoriented trace, sorted by length."""
+    deduplicated by unoriented trace, sorted by length.  `budget` bounds the
+    faces the unfolding develops and, separately, the chains the cycle
+    search extends; the result is complete only if neither runs out."""
     if not s.is_closed:
         raise GeodesicError("surface must be closed")
     scs = enumerate_saddle_connections(s, L_max, budget)
     conns = scs.connections
-    by_src: dict[int, list[int]] = {}
-    for i, sc in enumerate(conns):
-        by_src.setdefault(sc.v_src, []).append(i)
-    succ: dict[int, list[int]] = {}
-    for i, sc in enumerate(conns):
-        theta = s.vertex_angles[sc.v_dst]
-        out = []
-        for j in by_src.get(sc.v_dst, []):
-            left, right = _chain_gap(theta, sc.a_dst, conns[j].a_src)
-            if min(left, right) >= math.pi - SIDE_ANGLE_TOL:
-                out.append(j)
-        succ[i] = out
-
-    seen: set = set()
-    cycles: list[list[SaddleConnection]] = []
-
-    def dfs(start: int, cur: int, acc: float, chain: list[int]):
-        for j in succ[cur]:
-            if j < start:
-                continue
-            if j == start:
-                cyc = [conns[k] for k in chain]
-                key = _cycle_canonical(cyc)
-                if key not in seen:
-                    seen.add(key)
-                    cycles.append(cyc)
-                continue
-            L = acc + conns[j].length
-            if L > L_max + 1e-9:
-                continue
-            dfs(start, j, L, chain + [j])
-
-    for i in range(len(conns)):
-        if conns[i].length <= L_max + 1e-9:
-            dfs(i, i, conns[i].length, [i])
-
+    chain_budget = _Budget(budget)
+    cycles, chains_done = _closed_chains(conns, _successors(s, conns), L_max,
+                                         chain_budget)
     paths = []
     for cyc in cycles:
         path = _build_path(s, cyc)
         path.validate(s)
         paths.append(path)
     paths.sort(key=lambda p: (p.length, _cycle_canonical_of_path(p)))
-    return EnumerationResult(paths, scs.complete, len(conns))
+    return EnumerationResult(paths, scs.complete and chains_done, len(conns),
+                             chain_budget.used)
 
 
 def _cycle_canonical_of_path(p: GeodesicPath):
@@ -506,47 +566,51 @@ def systole(s: ConeSurface, L_max: float, budget: int = 400_000) -> SystoleResul
 def _develop_from_point(s, f0, pt, L_max, budget, target=None):
     """Min straight-line (vertex-free) distances from an interior point to
     every vertex, and optionally to a target point (face, coords)."""
-    pt = np.asarray(pt, dtype=float)
-    ch0 = s.chart(f0)
+    px, py = pt = (float(pt[0]), float(pt[1]))
+    ch0 = s.chart_floats[f0]
+    vids = s.vertex_ids.tolist()
     vdist: dict[int, float] = {}
     tdist = math.inf
     # the start face is visible in every direction
-    for c in range(3):
-        r = float(np.linalg.norm(ch0[c] - pt))
+    for c, q in enumerate(ch0):
+        r = math.dist(q, pt)
         if 1e-12 < r <= L_max:
-            v = s.vertex_of((f0, c))
+            v = vids[f0][c]
             vdist[v] = min(vdist.get(v, math.inf), r)
-    if target is not None and target[0] == f0:
-        r = float(np.linalg.norm(np.asarray(target[1]) - pt))
-        if r <= L_max:
-            tdist = min(tdist, r)
+    if target is not None:
+        tx, ty = float(target[1][0]), float(target[1][1])
+        if target[0] == f0:
+            r = math.dist((tx, ty), pt)
+            if r <= L_max:
+                tdist = min(tdist, r)
     # one seed per glued start edge, pushed last-first so that edge 0's
     # subtree is developed first
     seeds = []
     for e0 in (2, 1, 0):
-        P0, P1 = ch0[e0] - pt, ch0[(e0 + 1) % 3] - pt
-        r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
-        if min(r0, r1) < 1e-12 or (f0, e0) not in s.glue_map:
+        tr = s.transitions[f0][e0]
+        if tr is None:
             continue
-        wa, wb = P0 / r0, P1 / r1
+        P0, P1 = ch0[e0], ch0[(e0 + 1) % 3]
+        r0, r1 = math.dist(P0, pt), math.dist(P1, pt)
+        if min(r0, r1) < 1e-12:
+            continue
+        wa = ((P0[0] - px) / r0, (P0[1] - py) / r0)
+        wb = ((P1[0] - px) / r1, (P1[1] - py) / r1)
         if _cross(wa, wb) < 0:
             wa, wb = wb, wa
-        f2, e2, _, Re, te = s.edge_transition(f0, e0)
-        seeds.append((f2, Re, te - pt, wa, wb, e2))
+        f2, e2, Re, (ex, ey) = tr
+        seeds.append((f2, Re, (ex - px, ey - py), wa, wb, e2))
     complete = True
     try:
         for f, R, t, dev, wa, wb in _unfold(s, L_max, _Budget(budget), seeds):
-            for c in range(3):
-                P = dev[c]
-                r = float(np.linalg.norm(P))
-                if r < 1e-12 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
-                    continue
-                v = s.vertex_of((f, c))
+            for c, r, _, _ in _captures(dev, wa, wb, 1e-12, L_max):
+                v = vids[f][c]
                 vdist[v] = min(vdist.get(v, math.inf), r)
             if target is not None and f == target[0]:
-                P = R @ np.asarray(target[1], dtype=float) + t
-                r = float(np.linalg.norm(P))
-                if 1e-12 < r <= L_max + 1e-7 and _in_window(wa, wb, P / r):
+                r00, r01, r10, r11 = R
+                qx, qy = r00 * tx + r01 * ty + t[0], r10 * tx + r11 * ty + t[1]
+                r = math.sqrt(qx * qx + qy * qy)
+                if 1e-12 < r <= L_max + 1e-7 and _in_window(wa, wb, qx / r, qy / r):
                     tdist = min(tdist, r)
     except BudgetExceeded:
         complete = False

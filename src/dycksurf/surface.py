@@ -302,6 +302,22 @@ class ConeSurface:
         +x axis."""
         return self.charts[f]
 
+    @cached_property
+    def chart_floats(self) -> list[tuple[tuple[float, float], ...]]:
+        """Per face, its chart as three (x, y) tuples of floats."""
+        return [tuple(map(tuple, ch)) for ch in self.charts.tolist()]
+
+    @cached_property
+    def transitions(self) -> list[list[tuple | None]]:
+        """Per face and slot, the transition across the slot as plain floats,
+        (f2, e2, (R00, R01, R10, R11), (t0, t1)), or None at a boundary
+        slot; built for every glued slot at once.  See edge_transition."""
+        out: list[list[tuple | None]] = [[None] * 3 for _ in range(len(self.lengths))]
+        for (f, e), (f2, e2, flip) in self.glue_map.items():
+            R, t = self._transition(f, e, f2, e2, flip)
+            out[f][e] = (f2, e2, tuple(R.ravel().tolist()), tuple(t.tolist()))
+        return out
+
     def edge_transition(self, f: int, e: int):
         """Isometry mapping chart(f2) into chart(f) across the gluing at (f, e).
 
@@ -311,7 +327,11 @@ class ConeSurface:
         g = self.glue_map.get((f, e))
         if g is None:
             raise SurfaceError(f"slot ({f},{e}) is a boundary edge")
-        f2, e2, flip = g
+        f2, e2, R, t = self.transitions[f][e]
+        return f2, e2, g[2], np.reshape(R, (2, 2)), np.array(t)
+
+    def _transition(self, f, e, f2, e2, flip):
+        """(R, t) of the transition across (f, e), glued to (f2, e2)."""
         ch, ch2 = self.chart(f), self.chart(f2)
         p0, p1 = ch[e], ch[(e + 1) % 3]
         if flip:
@@ -334,7 +354,7 @@ class ConeSurface:
             if not np.allclose(R @ q1 + t, p1, atol=1e-9):
                 raise SurfaceError(f"edge ({f},{e}) does not map onto its twin")
             if _side(p0, p1, R @ opp + t) == -side_in:
-                return f2, e2, flip, R, t
+                return R, t
         raise SurfaceError(f"no valid transition across ({f},{e})")
 
     # -- vertex links ----------------------------------------------------

@@ -5,8 +5,11 @@ the tests require the array code to give the same records, in the same
 order, and the same floats.
 """
 
+import math
+
 import numpy as np
 
+from dycksurf import geodesic as geo
 from dycksurf.surface import GLUE_LENGTH_TOL, SurfaceError
 
 
@@ -103,3 +106,211 @@ def eval_points(field, f, pts):
     d = field.node_distance[ids]
     dm = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
     return (dm + d[None, :]).min(axis=1)
+
+
+# -- the unfolding on numpy 2-vectors -----------------------------------
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _unit(v):
+    return v / math.hypot(v[0], v[1])
+
+
+def _window_intersect(a, b, c, d):
+    lo = a if _cross(c, a) >= -geo.WINDOW_TOL else c
+    hi = b if _cross(b, d) >= -geo.WINDOW_TOL else d
+    if _cross(lo, hi) <= 1e-12:
+        return None
+    return lo, hi
+
+
+def _seg_min_dist(p0, p1):
+    d = p1 - p0
+    dd = float(d @ d)
+    if dd < 1e-30:
+        return float(np.linalg.norm(p0))
+    t = min(1.0, max(0.0, -float(p0 @ d) / dd))
+    return float(np.linalg.norm(p0 + t * d))
+
+
+def _in_window(wa, wb, ph):
+    return (_cross(wa, ph) >= -geo.CAPTURE_TOL
+            and _cross(ph, wb) >= -geo.CAPTURE_TOL)
+
+
+def unfold(s, L_max, budget, stack):
+    """geodesic._unfold with 2x2 matrices: entries (face, R, t, wa, wb,
+    entry slot), yielding (face, R, t, developed chart, wa, wb)."""
+    while stack:
+        f, R, t, wa, wb, entry = stack.pop()
+        budget.spend()
+        dev = (R @ s.chart(f).T).T + t
+        yield f, R, t, dev, wa, wb
+        for e in range(3):
+            if e == entry:
+                continue
+            P0, P1 = dev[e], dev[(e + 1) % 3]
+            if _seg_min_dist(P0, P1) > L_max:
+                continue
+            r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
+            if r0 < 1e-12 or r1 < 1e-12:
+                continue
+            c0d, c1d = P0 / r0, P1 / r1
+            if _cross(c0d, c1d) < 0:
+                c0d, c1d = c1d, c0d
+            win = _window_intersect(wa, wb, c0d, c1d)
+            if win is None or (f, e) not in s.glue_map:
+                continue
+            f2, e2, _, Re, te = s.edge_transition(f, e)
+            stack.append((f2, R @ Re, R @ te + t, win[0], win[1], e2))
+
+
+def _link_frame(s, corner):
+    row = s.link_frames[corner[0], corner[1]]
+    return float(row[0]), row[1:3], float(row[3])
+
+
+def angle_of(s, corner, direction):
+    off, E, sigma = _link_frame(s, corner)
+    psi = sigma * math.atan2(_cross(E, direction), float(E @ direction))
+    return geo._wrap(off + max(0.0, psi), s.vertex_angles[s.vertex_of(corner)])
+
+
+def saddle_connection(s, src, start, dst, P, r, R):
+    a_src = angle_of(s, src, P / r)
+    back = -(P / r)
+    off_t, E_t, sigma_t = _link_frame(s, dst)
+    E_dev = R @ E_t
+    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
+    psi = sigma_t * det * math.atan2(_cross(E_dev, back), float(E_dev @ back))
+    v_dst = s.vertex_of(dst)
+    a_dst = geo._wrap(off_t + max(0.0, psi), s.vertex_angles[v_dst])
+    return geo.SaddleConnection(s.vertex_of(src), a_src, v_dst, a_dst, r,
+                                src[0], start, tuple(P / r))
+
+
+def enumerate_saddle_connections(s, L_max, budget=400_000):
+    """geodesic.enumerate_saddle_connections over `unfold`."""
+    found = {}
+    bud = geo._Budget(budget)
+    try:
+        for f0 in range(len(s.faces)):
+            ch0 = s.chart(f0)
+            for c0 in range(3):
+                origin = ch0[c0]
+                start = tuple(origin)
+                wa = _unit(ch0[(c0 + 1) % 3] - origin)
+                wb = _unit(ch0[(c0 + 2) % 3] - origin)
+                if _cross(wa, wb) < 0:
+                    wa, wb = wb, wa
+                seed = (f0, np.eye(2), -origin, wa, wb, None)
+                for f, R, _, dev, wa, wb in unfold(s, L_max, bud, [seed]):
+                    for c in range(3):
+                        P = dev[c]
+                        r = float(np.linalg.norm(P))
+                        if (r < 1e-9 or r > L_max + 1e-7
+                                or not _in_window(wa, wb, P / r)):
+                            continue
+                        sc = saddle_connection(s, (f0, c0), start, (f, c), P, r, R)
+                        found.setdefault(sc.key(), sc)
+        complete = True
+    except geo.BudgetExceeded:
+        complete = False
+    conns = geo._drop_colinear(found.values())
+    conns.sort(key=lambda sc: (sc.length, sc.key()))
+    return geo.SaddleConnectionSet(conns, complete, bud.used)
+
+
+def develop_from_point(s, f0, pt, L_max, budget, target=None):
+    """geodesic._develop_from_point over `unfold`."""
+    pt = np.asarray(pt, dtype=float)
+    ch0 = s.chart(f0)
+    vdist = {}
+    tdist = math.inf
+    for c in range(3):
+        r = float(np.linalg.norm(ch0[c] - pt))
+        if 1e-12 < r <= L_max:
+            v = s.vertex_of((f0, c))
+            vdist[v] = min(vdist.get(v, math.inf), r)
+    if target is not None and target[0] == f0:
+        r = float(np.linalg.norm(np.asarray(target[1]) - pt))
+        if r <= L_max:
+            tdist = min(tdist, r)
+    seeds = []
+    for e0 in (2, 1, 0):
+        P0, P1 = ch0[e0] - pt, ch0[(e0 + 1) % 3] - pt
+        r0, r1 = np.linalg.norm(P0), np.linalg.norm(P1)
+        if min(r0, r1) < 1e-12 or (f0, e0) not in s.glue_map:
+            continue
+        wa, wb = P0 / r0, P1 / r1
+        if _cross(wa, wb) < 0:
+            wa, wb = wb, wa
+        f2, e2, _, Re, te = s.edge_transition(f0, e0)
+        seeds.append((f2, Re, te - pt, wa, wb, e2))
+    complete = True
+    try:
+        for f, R, t, dev, wa, wb in unfold(s, L_max, geo._Budget(budget), seeds):
+            for c in range(3):
+                P = dev[c]
+                r = float(np.linalg.norm(P))
+                if r < 1e-12 or r > L_max + 1e-7 or not _in_window(wa, wb, P / r):
+                    continue
+                v = s.vertex_of((f, c))
+                vdist[v] = min(vdist.get(v, math.inf), r)
+            if target is not None and f == target[0]:
+                P = R @ np.asarray(target[1], dtype=float) + t
+                r = float(np.linalg.norm(P))
+                if 1e-12 < r <= L_max + 1e-7 and _in_window(wa, wb, P / r):
+                    tdist = min(tdist, r)
+    except geo.BudgetExceeded:
+        complete = False
+    return vdist, tdist, complete
+
+
+def successors(s, conns):
+    """Successor lists of the closed-geodesic chains, pair by pair."""
+    by_src = {}
+    for i, sc in enumerate(conns):
+        by_src.setdefault(sc.v_src, []).append(i)
+    succ = []
+    for sc in conns:
+        theta = s.vertex_angles[sc.v_dst]
+        out = []
+        for j in by_src.get(sc.v_dst, []):
+            delta = (conns[j].a_src - sc.a_dst) % theta
+            if min(delta, theta - delta) >= math.pi - geo.SIDE_ANGLE_TOL:
+                out.append(j)
+        succ.append(out)
+    return succ
+
+
+def closed_chains(conns, succ, L_max):
+    """The recursive chain search: the cycles in order of discovery and the
+    number of chains extended, roots included."""
+    seen, cycles, nodes = set(), [], 0
+
+    def dfs(start, cur, acc, chain):
+        nonlocal nodes
+        nodes += 1
+        for j in succ[cur]:
+            if j < start:
+                continue
+            if j == start:
+                cyc = [conns[k] for k in chain]
+                key = geo._cycle_canonical(cyc)
+                if key not in seen:
+                    seen.add(key)
+                    cycles.append(cyc)
+                continue
+            L = acc + conns[j].length
+            if L > L_max + 1e-9:
+                continue
+            dfs(start, j, L, chain + [j])
+
+    for i in range(len(conns)):
+        if conns[i].length <= L_max + 1e-9:
+            dfs(i, i, conns[i].length, [i])
+    return cycles, nodes

@@ -250,13 +250,24 @@ class TestExtremalSurface:
 
     def test_transitions(self, dyck):
         for f, e, f2, e2, flip in dyck.gluings:
-            f2_, e2_, _, R, t = dyck.edge_transition(f, e)
-            assert (f2_, e2_) == (f2, e2)
+            f2_, e2_, flip_, R, t = dyck.edge_transition(f, e)
+            assert (f2_, e2_, flip_) == (f2, e2, flip)
+            assert dyck.transitions[f][e] == (f2, e2, tuple(R.ravel()), tuple(t))
             assert abs(abs(np.linalg.det(R)) - 1) < 1e-12
             ch, ch2 = dyck.chart(f), dyck.chart(f2)
             pm = (ch[e] + ch[(e + 1) % 3]) / 2
             qm = (ch2[e2] + ch2[(e2 + 1) % 3]) / 2
             assert np.allclose(R @ qm + t, pm, atol=1e-9)
+
+    def test_float_tables_match_arrays(self):
+        s = sf.build_collar_flat()
+        assert s.transitions is s.transitions
+        assert s.chart_floats == [tuple(map(tuple, ch)) for ch in s.charts.tolist()]
+        none = {(f, e) for f, row in enumerate(s.transitions)
+                for e, tr in enumerate(row) if tr is None}
+        assert none == set(s.boundary_slots) and none
+        with pytest.raises(SurfaceError, match="boundary edge"):
+            s.edge_transition(*s.boundary_slots[0])
 
     def test_double_cover_genus_two(self, dyck):
         c = sf.orientation_double_cover(dyck)
