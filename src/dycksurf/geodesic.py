@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -88,12 +90,14 @@ class SaddleConnection:
     direction: tuple[float, float]
 
     def key(self):
-        return (self.v_src, round(self.a_src, ANGLE_KEY_DIGITS),
-                round(self.length, ANGLE_KEY_DIGITS))
+        return _connection_key(self.v_src, self.a_src, self.length)
 
     def reverse_key(self):
-        return (self.v_dst, round(self.a_dst, ANGLE_KEY_DIGITS),
-                round(self.length, ANGLE_KEY_DIGITS))
+        return _connection_key(self.v_dst, self.a_dst, self.length)
+
+
+def _connection_key(v: int, a: float, length: float) -> tuple:
+    return (v, round(a, ANGLE_KEY_DIGITS), round(length, ANGLE_KEY_DIGITS))
 
 
 @dataclass
@@ -219,11 +223,15 @@ def enumerate_saddle_connections(
                 for f, R, _, dev, wa, wb in _unfold(s, L_max, bud, [seed]):
                     for c, r, hx, hy in _captures(dev, wa, wb, 1e-9, L_max):
                         a_src = _link_angle(off, sigma, ex, ey, hx, hy, thetas[v_src])
+                        # the first capture of a key wins; later ones skip the
+                        # arrival angle and the object
+                        key = _connection_key(v_src, a_src, r)
+                        if key in found:
+                            continue
                         v_dst = vids[f][c]
                         a_dst = _arrival_angle(R, frames[f][c], hx, hy, thetas[v_dst])
-                        sc = SaddleConnection(v_src, a_src, v_dst, a_dst, r, f0,
-                                              start, (hx, hy))
-                        found.setdefault(sc.key(), sc)
+                        found[key] = SaddleConnection(v_src, a_src, v_dst, a_dst, r,
+                                                      f0, start, (hx, hy))
         complete = True
     except BudgetExceeded:
         complete = False
@@ -629,16 +637,68 @@ def _snap_to_vertex(s, f, pt):
     return None if corner is None else s.vertex_of(corner)
 
 
+def _query_point(s, p, name):
+    """p = (face, (u, v)) as (int, (float, float)); raises GeodesicError
+    unless the face exists and (u, v) lies in its chart, up to 1e-9 in
+    barycentric coordinates."""
+    try:
+        f, (u, v) = p
+        f, u, v = operator.index(f), float(u), float(v)
+    except (TypeError, ValueError) as exc:
+        raise GeodesicError(f"{name} must be (face, (u, v))") from exc
+    if not 0 <= f < len(s.lengths):
+        raise GeodesicError(f"{name}: face {f} out of range")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise GeodesicError(f"{name}: coordinates must be finite")
+    (ax, ay), (bx, by), (cx, cy) = s.chart_floats[f]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    lb = ((u - ax) * (cy - ay) - (v - ay) * (cx - ax)) / det
+    lc = ((bx - ax) * (v - ay) - (by - ay) * (u - ax)) / det
+    if min(1.0 - lb - lc, lb, lc) < -1e-9:
+        raise GeodesicError(f"{name}: ({u!r}, {v!r}) lies outside chart({f})")
+    return f, (u, v)
+
+
+# point_distance's vertex graphs: surface -> {(L_max, budget): graph}
+_VERTEX_GRAPHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _vertex_graph(s, L_max, budget):
+    """({v: {w: length}}, complete): the shortest saddle connection from
+    each vertex to each vertex within L_max, and whether the search was
+    complete.  Memoized per surface, held weakly, and per (L_max, budget),
+    so a truncated search answers only its own budget."""
+    graphs = _VERTEX_GRAPHS.setdefault(s, {})
+    key = (L_max, budget)
+    if key not in graphs:
+        scs = enumerate_saddle_connections(s, L_max, budget)
+        adj: dict[int, dict[int, float]] = {}
+        for sc in scs.connections:
+            nbs = adj.setdefault(sc.v_src, {})
+            if sc.length < nbs.get(sc.v_dst, math.inf):
+                nbs[sc.v_dst] = sc.length
+        graphs[key] = adj, scs.complete
+    return graphs[key]
+
+
 def point_distance(s: ConeSurface, x, y, L_max: float,
                    budget: int = 400_000) -> PointDistance:
     """Geodesic distance between points x = (face, (u, v)) and y, allowing
-    paths through cone points, capped at L_max."""
+    paths through cone points, capped at L_max.
+
+    Each point's face must exist and its (u, v) must lie in chart(face), up
+    to 1e-9 in barycentric coordinates; otherwise GeodesicError.  The vertex
+    graph (shortest saddle connection per ordered vertex pair, and whether
+    the search was complete) is memoized in a WeakKeyDictionary keyed by
+    the surface, and inside it by (L_max, budget): repeated calls on one
+    surface run one saddle search, and the memo never keeps a surface
+    alive."""
     if not 0 < L_max < math.inf:
         raise GeodesicError("L_max must be finite and positive")
+    x, y = _query_point(s, x, "x"), _query_point(s, y, "y")
     # query points placed exactly on a vertex degenerate the developing
     # windows; treat them as the vertex itself
-    snap_x = _snap_to_vertex(s, x[0], np.asarray(x[1], dtype=float))
-    snap_y = _snap_to_vertex(s, y[0], np.asarray(y[1], dtype=float))
+    snap_x, snap_y = _snap_to_vertex(s, *x), _snap_to_vertex(s, *y)
     if snap_x is not None and snap_x == snap_y:
         return PointDistance(0.0, True, True)
     if snap_x is not None:
@@ -650,33 +710,24 @@ def point_distance(s: ConeSurface, x, y, L_max: float,
         vy, cy = {snap_y: 0.0}, True
     else:
         vy, _, cy = _develop_from_point(s, y[0], y[1], L_max, budget)
-    scs = enumerate_saddle_connections(s, L_max, budget)
-    pair: dict[tuple[int, int], float] = {}
-    for sc in scs.connections:
-        k = (sc.v_src, sc.v_dst)
-        if sc.length < pair.get(k, math.inf):
-            pair[k] = sc.length
-    # Dijkstra over {x} + vertices, target y
-    dist = {("x",): 0.0}
-    heap = [(0.0, ("x",))]
+    adj, searched = _vertex_graph(s, L_max, budget)
+    # Dijkstra over the vertices, from x's vertex distances, target y
     best_y = direct_x
-    adj: dict = {("x",): [(("v", v), d) for v, d in vx.items()]}
-    for (v1, v2), d in pair.items():
-        adj.setdefault(("v", v1), []).append((("v", v2), d))
+    dist = {v: d for v, d in vx.items() if d <= L_max + 1e-9}
+    heap = [(d, v) for v, d in dist.items()]
+    heapq.heapify(heap)
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf) or d > L_max:
+        d, v = heapq.heappop(heap)
+        if d > dist[v] or d > L_max:
             continue
-        if node != ("x",):
-            v = node[1]
-            if v in vy:
-                best_y = min(best_y, d + vy[v])
-        for nb, w in adj.get(node, []):
-            nd = d + w
-            if nd < dist.get(nb, math.inf) and nd <= L_max + 1e-9:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    complete = cx and cy and scs.complete
+        if v in vy:
+            best_y = min(best_y, d + vy[v])
+        for w, length in adj.get(v, {}).items():
+            nd = d + length
+            if nd < dist.get(w, math.inf) and nd <= L_max + 1e-9:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    complete = cx and cy and searched
     if best_y > L_max + 1e-9:
         return PointDistance(math.inf, False, complete)
     return PointDistance(best_y, True, complete)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +248,111 @@ class TestPointDistance:
         y = (W[1][0], dyck.chart(W[1][0])[W[1][1]])
         res = point_distance(dyck, x, y, 0.3)
         assert not res.reachable and res.distance == math.inf
+
+    def test_negative_face_refused(self, dyck):
+        # -1 must not index the last face
+        x = (-1, np.mean(dyck.chart(len(dyck.faces) - 1), axis=0))
+        y = (30, np.mean(dyck.chart(30), axis=0))
+        with pytest.raises(GeodesicError, match="out of range"):
+            point_distance(dyck, x, y, 0.8)
+
+    def test_face_past_end_refused(self, dyck):
+        x = (5, np.mean(dyck.chart(5), axis=0))
+        y = (len(dyck.faces), (0.1, 0.1))
+        with pytest.raises(GeodesicError, match="out of range"):
+            point_distance(dyck, x, y, 0.8)
+
+    @pytest.mark.parametrize("uv", [(math.nan, 0.1), (math.inf, 0.1), (0.1, -math.inf)])
+    def test_nonfinite_coordinates_refused(self, dyck, uv):
+        x = (5, np.mean(dyck.chart(5), axis=0))
+        with pytest.raises(GeodesicError, match="finite"):
+            point_distance(dyck, x, (0, uv), 0.8)
+
+    def test_point_outside_chart_refused(self, dyck):
+        a, b, c = dyck.chart(7)
+        y = (30, np.mean(dyck.chart(30), axis=0))
+        with pytest.raises(GeodesicError, match="outside chart"):
+            point_distance(dyck, (7, -1e-6 * a + (0.5 + 1e-6) * b + 0.5 * c), y, 0.8)
+        # within the 1e-9 barycentric tolerance the point is accepted
+        assert point_distance(dyck, (7, 0.5 * b + 0.5 * c), y, 0.8).reachable
+
+
+def centroid(s, f):
+    return (f, tuple(np.mean(s.chart(f), axis=0)))
+
+
+class TestPointDistanceMemo:
+    def test_freed_surfaces_never_answer(self):
+        # freed tori hand their ids on, so a memo keyed by id would answer a
+        # new torus with an old one's connections; between two vertices the
+        # distance is read off the vertex graph alone
+        rng = random.Random(14)
+        ids, cases = set(), []
+        for _ in range(50):
+            a, b, shear = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3)
+            t = sf.subdivide(sf.build_flat_torus(a, b, shear))
+            ids.add(id(t))
+            x = (0, tuple(t.chart(0)[0]))
+            f, c = next((f, c) for f in range(len(t.faces)) for c in range(3)
+                        if t.vertex_of((f, c)) != t.vertex_of((0, 0)))
+            y = (f, tuple(t.chart(f)[c]))
+            cases.append(((a, b, shear), x, y, point_distance(t, x, y, 1.5)))
+            del t
+        assert len(ids) < 50
+        for params, x, y, got in cases:
+            geo._VERTEX_GRAPHS.clear()
+            fresh = sf.subdivide(sf.build_flat_torus(*params))
+            assert got == point_distance(fresh, x, y, 1.5)
+            assert got.reachable and got.complete
+
+    def test_entry_dropped_with_surface(self):
+        s = sf.build_flat_torus(1.0, 1.3, 0.2)
+        point_distance(s, centroid(s, 0), centroid(s, 1), 1.5)
+        assert s in geo._VERTEX_GRAPHS
+        gc.collect()  # so that only s can leave the memo below
+        n, ref = len(geo._VERTEX_GRAPHS), weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
+        assert len(geo._VERTEX_GRAPHS) == n - 1
+
+    def test_truncated_search_answers_only_its_budget(self):
+        s = sf.build_extremal_dyck()
+        W = [tuple(c) for c in s.marks["weierstrass"]]
+        x = (W[0][0], s.chart(W[0][0])[W[0][1]])
+        y = (W[1][0], s.chart(W[1][0])[W[1][1]])
+        assert not point_distance(s, x, y, 0.8, budget=10).complete
+        res = point_distance(s, x, y, 0.8)
+        assert res.complete and res.reachable
+        assert res.distance == pytest.approx(0.5, abs=1e-6)
+        assert res == point_distance(sf.build_extremal_dyck(), x, y, 0.8)
+
+    def test_warm_equals_cold_bitwise(self):
+        s1, s2 = sf.build_extremal_dyck(), sf.build_extremal_dyck()
+        x, y = centroid(s1, 5), centroid(s1, 30)
+        xy_cold = point_distance(s1, x, y, 1.0)
+        yx_warm = point_distance(s1, y, x, 1.0)
+        yx_cold = point_distance(s2, y, x, 1.0)
+        xy_warm = point_distance(s2, x, y, 1.0)
+        assert xy_cold.reachable and yx_cold.reachable
+        assert xy_cold.distance == xy_warm.distance
+        assert yx_cold.distance == yx_warm.distance
+
+    def test_one_search_per_surface_and_length(self, monkeypatch):
+        lengths = []
+        search = geo.enumerate_saddle_connections
+
+        def counted(s, L_max, *args, **kwargs):
+            lengths.append(L_max)
+            return search(s, L_max, *args, **kwargs)
+
+        monkeypatch.setattr(geo, "enumerate_saddle_connections", counted)
+        s = sf.build_extremal_dyck()
+        pts = [centroid(s, f) for f in (5, 30, 11, 17, 2, 40, 23, 8)]
+        for x, y in zip(pts[::2], pts[1::2]):
+            point_distance(s, x, y, 0.8)
+            point_distance(s, y, x, 0.8)
+        assert lengths == [0.8]
 
 
 def stacked_cylinder(circ=2.0, half_height=0.5, columns=6):
