@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -493,6 +494,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # the import-time objects live on; no full collection need rescan them
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = make_parser()
     args = ap.parse_args(argv)
     try:

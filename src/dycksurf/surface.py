@@ -8,6 +8,11 @@ matches ``v_e <-> v_e2`` and ``v_{e+1} <-> v_{e2+1}``; with ``flip=True`` it
 matches ``v_e <-> v_{e2+1}`` and ``v_{e+1} <-> v_e2``.  Unpaired slots are
 boundary edges.  Vertices, cone angles, orientability and Euler
 characteristic are all derived from the gluing combinatorics.
+
+Face charts are counterclockwise (corner 2 above the x axis): ``flip=True``
+marks an orientation-preserving gluing, whose chart transition is a
+rotation, and ``flip=False`` one whose transition is a reflection.  Faces
+degenerate in floating point (a corner cosine of +-1) are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from scipy.sparse.csgraph import connected_components
 from .constants import SurfaceParameters, relations_ok
 
 GLUE_LENGTH_TOL = 1e-12
-ANGLE_TOL = 1e-9
 
 Corner = tuple[int, int]
 Slot = tuple[int, int]
@@ -95,13 +99,17 @@ class ConeSurface:
     # -- validation and derived combinatorics ---------------------------
 
     def _validate(self):
-        """Raise the error a scan of the faces, then of the gluing records
-        in order, would meet first: per record, each slot glued twice or
-        out of range, then the two edge lengths."""
+        """Raise the error scans in order would meet first: faces for the
+        triangle inequality, then for a corner cosine of +-1; then, per gluing
+        record, each slot glued twice or out of range, then the edge lengths."""
         a, b, c = self.lengths.T
         bad = ~((a + b > c) & (b + c > a) & (c + a > b))
         if bad.any():
             raise SurfaceError(f"face {int(bad.argmax())} violates the triangle inequality")
+        flat = (np.abs(self.corner_cos) >= 1).any(axis=1)
+        if flat.any():
+            raise SurfaceError(
+                f"face {int(flat.argmax())} is degenerate: a corner angle is 0 or pi")
         g = self.glue_records
         slots = g[:, :4].reshape(-1, 2)  # slot 2i + j is slot j of record i
         f, e = slots.T
@@ -289,8 +297,8 @@ class ConeSurface:
                     other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
                     E = ch[other] - ch[cc]
                     E = E / math.hypot(E[0], E[1])
-                    F = ch[3 - cc - other] - ch[cc]
-                    sigma = 1.0 if E[0] * F[1] - E[1] * F[0] > 0 else -1.0
+                    # in a counterclockwise chart, cc + 2 lies counterclockwise of cc + 1
+                    sigma = 1.0 if other == (cc + 1) % 3 else -1.0
                     out[ff, cc] = off, E[0], E[1], sigma
                     done.add((ff, cc))
         return _read_only(out)
@@ -312,50 +320,41 @@ class ConeSurface:
         """Per face and slot, the transition across the slot as plain floats,
         (f2, e2, (R00, R01, R10, R11), (t0, t1)), or None at a boundary
         slot; built for every glued slot at once.  See edge_transition."""
+        g = self.glue_records
+        f, e, f2, e2, flip = np.concatenate([g, g[:, [2, 3, 0, 1, 4]]]).T
+        ch = self.charts
+        p0, p1 = ch[f, e], ch[f, (e + 1) % 3]
+        # the twin edge, ordered to match p0 -> p1
+        q0, q1 = ch[f2, (e2 + flip) % 3], ch[f2, (e2 + 1 - flip) % 3]
+        u, v = p1 - p0, q1 - q0
+        # stacked @ rounds as one 2-vector or 2x2 numpy product; a*b + c*d would not
+        nrm = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        c = (u[:, None, :] @ v[:, :, None])[:, 0, 0] / nrm
+        s = (u[:, 1] * v[:, 0] - u[:, 0] * v[:, 1]) / nrm
+        R = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)  # q1 - q0 onto u
+        # charts are counterclockwise: flip=True preserves orientation and R
+        # is the rotation; flip=False composes it with the mirror in q0q1
+        n = np.stack([-v[:, 1], v[:, 0]], axis=-1) / np.sqrt(nrm)[:, None]
+        mirror = np.eye(2) - 2.0 * (n[:, :, None] * n[:, None, :])
+        R = np.where(flip[:, None, None] == 1, R, R @ mirror)
+        t = p0 - (R @ q0[:, :, None])[:, :, 0]
         out: list[list[tuple | None]] = [[None] * 3 for _ in range(len(self.lengths))]
-        for (f, e), (f2, e2, flip) in self.glue_map.items():
-            R, t = self._transition(f, e, f2, e2, flip)
-            out[f][e] = (f2, e2, tuple(R.ravel().tolist()), tuple(t.tolist()))
+        for fi, ei, *row in zip(f.tolist(), e.tolist(), f2.tolist(), e2.tolist(),
+                                map(tuple, R.reshape(-1, 4).tolist()), map(tuple, t.tolist())):
+            out[fi][ei] = tuple(row)
         return out
 
     def edge_transition(self, f: int, e: int):
         """Isometry mapping chart(f2) into chart(f) across the gluing at (f, e).
 
-        Returns (f2, e2, flip, R, t) with x |-> R @ x + t; R may be a
-        reflection when the gluing reverses orientation.
+        Returns (f2, e2, flip, R, t) with x |-> R @ x + t.  R is a rotation
+        when flip is True and a reflection exactly when flip is False.
         """
         g = self.glue_map.get((f, e))
         if g is None:
             raise SurfaceError(f"slot ({f},{e}) is a boundary edge")
         f2, e2, R, t = self.transitions[f][e]
         return f2, e2, g[2], np.reshape(R, (2, 2)), np.array(t)
-
-    def _transition(self, f, e, f2, e2, flip):
-        """(R, t) of the transition across (f, e), glued to (f2, e2)."""
-        ch, ch2 = self.chart(f), self.chart(f2)
-        p0, p1 = ch[e], ch[(e + 1) % 3]
-        if flip:
-            q0, q1 = ch2[(e2 + 1) % 3], ch2[e2]
-        else:
-            q0, q1 = ch2[e2], ch2[(e2 + 1) % 3]
-        # two isometries map segment q0q1 onto p0p1: a rotation and a glide
-        # reflection; the glued face must land on the far side of the edge
-        u = p1 - p0
-        v = q1 - q0
-        nrm = float(v @ v)
-        c, s = float(u @ v) / nrm, float(u[1] * v[0] - u[0] * v[1]) / nrm
-        R_rot = np.array([[c, -s], [s, c]])
-        n = np.array([-v[1], v[0]]) / math.sqrt(nrm)
-        R_ref = R_rot @ (np.eye(2) - 2.0 * np.outer(n, n))
-        opp = ch2[(e2 + 2) % 3]
-        side_in = _side(p0, p1, ch[(e + 2) % 3])
-        for R in (R_rot, R_ref):
-            t = p0 - R @ q0
-            if not np.allclose(R @ q1 + t, p1, atol=1e-9):
-                raise SurfaceError(f"edge ({f},{e}) does not map onto its twin")
-            if _side(p0, p1, R @ opp + t) == -side_in:
-                return R, t
-        raise SurfaceError(f"no valid transition across ({f},{e})")
 
     # -- vertex links ----------------------------------------------------
 
@@ -485,11 +484,6 @@ def _parse_slot(key: str) -> Slot:
     """Inverse of str((f, e))."""
     f, e = key.strip("()").split(",")
     return int(f), int(e)
-
-
-def _side(p0, p1, x) -> int:
-    cr = (p1[0] - p0[0]) * (x[1] - p0[1]) - (p1[1] - p0[1]) * (x[0] - p0[0])
-    return 1 if cr > 0 else (-1 if cr < 0 else 0)
 
 
 # -- cut graphs --------------------------------------------------------

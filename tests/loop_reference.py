@@ -27,6 +27,10 @@ def validate(faces, gluings):
     for i, (a, b, c) in enumerate(faces):
         if not (a + b > c and b + c > a and c + a > b):
             raise SurfaceError(f"face {i} violates the triangle inequality")
+    for i, (a, b, c) in enumerate(faces):
+        for adj1, adj2, opp in ((a, c, b), (b, a, c), (c, b, a)):
+            if abs((adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)) >= 1:
+                raise SurfaceError(f"face {i} is degenerate: a corner angle is 0 or pi")
     seen = set()
     for f, e, f2, e2, _ in gluings:
         for s in ((f, e), (f2, e2)):
@@ -98,6 +102,68 @@ def subdivide(s):
             marks[k] = {_half_slot(f, e, half): lbl
                         for (f, e), lbl in v.items() for half in (0, 1)}
     return faces, gluings, marks
+
+
+def _side(p0, p1, x):
+    cr = (p1[0] - p0[0]) * (x[1] - p0[1]) - (p1[1] - p0[1]) * (x[0] - p0[0])
+    return 1 if cr > 0 else (-1 if cr < 0 else 0)
+
+
+def transition(s, f, e, f2, e2, flip):
+    """(R, t) across slot (f, e), glued to (f2, e2), found geometrically:
+    of the rotation and the glide reflection that map the twin edge onto
+    the edge, the one that puts the glued face on the far side."""
+    ch, ch2 = s.chart(f), s.chart(f2)
+    p0, p1 = ch[e], ch[(e + 1) % 3]
+    if flip:
+        q0, q1 = ch2[(e2 + 1) % 3], ch2[e2]
+    else:
+        q0, q1 = ch2[e2], ch2[(e2 + 1) % 3]
+    u = p1 - p0
+    v = q1 - q0
+    nrm = float(v @ v)
+    c, sn = float(u @ v) / nrm, float(u[1] * v[0] - u[0] * v[1]) / nrm
+    R_rot = np.array([[c, -sn], [sn, c]])
+    n = np.array([-v[1], v[0]]) / math.sqrt(nrm)
+    R_ref = R_rot @ (np.eye(2) - 2.0 * np.outer(n, n))
+    opp = ch2[(e2 + 2) % 3]
+    side_in = _side(p0, p1, ch[(e + 2) % 3])
+    for R in (R_rot, R_ref):
+        t = p0 - R @ q0
+        if not np.allclose(R @ q1 + t, p1, atol=1e-9):
+            raise SurfaceError(f"edge ({f},{e}) does not map onto its twin")
+        if _side(p0, p1, R @ opp + t) == -side_in:
+            return R, t
+    raise SurfaceError(f"no valid transition across ({f},{e})")
+
+
+def transitions(s):
+    """ConeSurface.transitions, one glued slot at a time."""
+    out = [[None] * 3 for _ in range(len(s.faces))]
+    for (f, e), (f2, e2, flip) in s.glue_map.items():
+        R, t = transition(s, f, e, f2, e2, flip)
+        out[f][e] = (f2, e2, tuple(R.ravel().tolist()), tuple(t.tolist()))
+    return out
+
+
+def link_frames(s):
+    """ConeSurface.link_frames with sigma the sign of a chart cross product."""
+    out = np.zeros((len(s.faces), 3, 4))
+    done = set()
+    for f in range(len(s.faces)):
+        for c in range(3):
+            if (f, c) in done:
+                continue
+            for ff, cc, entry, off in s.vertex_link((f, c)):
+                ch = s.chart(ff)
+                other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
+                E = ch[other] - ch[cc]
+                E = E / math.hypot(E[0], E[1])
+                F = ch[3 - cc - other] - ch[cc]
+                sigma = 1.0 if E[0] * F[1] - E[1] * F[0] > 0 else -1.0
+                out[ff, cc] = off, E[0], E[1], sigma
+                done.add((ff, cc))
+    return out
 
 
 def eval_points(field, f, pts):

@@ -330,3 +330,23 @@ def test_cli_import_skips_scipy_integrate():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_main_freezes_the_import_objects_once():
+    # a full collection would rescan them in every command's work
+    src = os.path.dirname(os.path.dirname(dycksurf.__file__))
+    code = """
+import contextlib, gc, io
+import dycksurf.cli as cli
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["constants"])
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    before, first, second = map(int, out.split())
+    assert before == 0 and first > 0 and second == first

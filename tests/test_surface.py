@@ -249,11 +249,14 @@ class TestExtremalSurface:
                 assert abs(tot - dyck.vertex_angles[v]) < 1e-9
 
     def test_transitions(self, dyck):
+        # bit for bit the geometric per-slot search it replaced
+        want = loop.transitions(dyck)
+        assert [(f, e) for f, row in enumerate(dyck.transitions)
+                for e, tr in enumerate(row) if repr(tr) != repr(want[f][e])] == []
         for f, e, f2, e2, flip in dyck.gluings:
             f2_, e2_, flip_, R, t = dyck.edge_transition(f, e)
             assert (f2_, e2_, flip_) == (f2, e2, flip)
-            assert dyck.transitions[f][e] == (f2, e2, tuple(R.ravel()), tuple(t))
-            assert abs(abs(np.linalg.det(R)) - 1) < 1e-12
+            assert abs(np.linalg.det(R) - (1 if flip else -1)) < 1e-12
             ch, ch2 = dyck.chart(f), dyck.chart(f2)
             pm = (ch[e] + ch[(e + 1) % 3]) / 2
             qm = (ch2[e2] + ch2[(e2 + 1) % 3]) / 2
@@ -562,6 +565,15 @@ class TestTypedErrors:
         (math.nan, 1.0, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, 3.0)])
     def test_triangle_inequality(self, face):
         with pytest.raises(SurfaceError, match="face 1 violates the triangle inequality"):
+            ConeSurface([self.TRI, face], [])
+
+    @pytest.mark.parametrize("face", [
+        (1.0, 0.5, 1.5 - 2 ** -52), (0.5, 1.0, 1.5 - 2 ** -52), (3.0, 1.0, 4.0 - 2 ** -50)])
+    def test_degenerate_face(self, face):
+        # the strict triangle inequality holds in floats, but a corner
+        # cosine rounds to 1: corner 0's angle would be 0 and corner 2 would
+        # land on the x axis, or corner 2's angle would be 0
+        with pytest.raises(SurfaceError, match="face 1 is degenerate"):
             ConeSurface([self.TRI, face], [])
 
     def test_glued_twice(self):

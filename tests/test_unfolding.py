@@ -54,6 +54,36 @@ def klein_bottle(a, b, shift):
     return sf.ConeSurface(faces, gluings, name=f"klein({a},{b},{shift})")
 
 
+def _subdivided(s, times):
+    for _ in range(times):
+        s = sf.subdivide(s)
+    return s
+
+
+# the Klein bottles glue slot 1 to slot 2 with flip=False, off the x axis
+# of both charts; every orientation-reversing gluing of the extremal surface
+# and its collar joins two slot-0 edges, which lie on it
+@pytest.mark.parametrize("build", [
+    sf.build_extremal_dyck, sf.build_collar_flat,
+    lambda: _subdivided(sf.build_collar_flat(), 3),
+    lambda: _subdivided(sf.build_flat_torus(1.0, 1.3, 0.4), 2),
+    lambda: sf.build_round_annulus(1.0, 2.0), lambda: sf.build_cylinder(2.0, 0.5),
+    lambda: sf.build_flat_klein_bottle(1.0, 1.5),
+    lambda: klein_bottle(0.99999, 1.6 * 0.99999, 0.0),
+    lambda: klein_bottle(0.8, 1.2, 1.2 * 7 / 20)],
+    ids=["extremal", "collar", "collar_sub3", "torus_sub2", "annulus", "cylinder",
+         "klein", "klein_k0", "klein_k7"])
+def test_transitions_match_reference(build):
+    """The flip bit's rotation or reflection, bit for bit the one the
+    per-slot geometric search finds; sigma as the chart's cross product."""
+    s = build()
+    want = loop.transitions(s)
+    assert [(f, e) for f, row in enumerate(s.transitions) for e, tr in enumerate(row)
+            if repr(tr) != repr(want[f][e])] == []
+    ref = loop.link_frames(s)
+    assert np.argwhere(s.link_frames.view(np.int64) != ref.view(np.int64)).tolist() == []
+
+
 def assert_same_connections(s, L_max):
     new = geo.enumerate_saddle_connections(s, L_max)
     ref = loop.enumerate_saddle_connections(s, L_max)
