@@ -232,8 +232,6 @@ def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]) -> float:
     cosines."""
     cos = s.corner_cos
     sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-    if (sin < 1e-14).any():
-        raise CapacityError("degenerate triangle in FEM mesh")
     w = 0.5 * cos / sin
     # corner c couples the other two corners a, b of its face; the entries
     # keep the order faces, corners, [a, b, a, b]

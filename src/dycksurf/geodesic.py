@@ -4,7 +4,9 @@ Saddle connections are found by developing the surface into the plane from
 each vertex with angular visibility windows; closed geodesics are chains of
 saddle connections that subtend angle at least pi on both sides at every
 vertex they pass through (on a flat vertex this forces the chain to go
-straight).  Distances to curves and Voronoi cells use an edge-subdivided
+straight).  Saddle connections, point distances, closed geodesics and
+systoles need a closed surface and raise GeodesicError on one with
+boundary.  Distances to curves and Voronoi cells use an edge-subdivided
 Dijkstra graph; areas are integrated over a barycentric subtriangle grid.
 """
 
@@ -126,8 +128,9 @@ def _unfold(s, L_max, budget, stack):
     plane, and the sector from the unit vector wa to wb is the set of
     directions still visible through the crossed edges.  Each popped face
     spends one budget step and is yielded as (face, R, t, developed corners,
-    wa, wb); then every glued edge within L_max that the sector still sees
-    is pushed, in slot order.  Edges through the origin are never crossed.
+    wa, wb); then every edge within L_max that the sector still sees is
+    pushed, in slot order.  The surface must be closed: every slot of a
+    face is glued.  Edges through the origin are never crossed.
 
     The sector clip drops empty or pinched (zero-width) intersections: a
     window pinches exactly when its one surviving ray ends at a vertex, and
@@ -149,7 +152,7 @@ def _unfold(s, L_max, budget, stack):
         yield f, R, t, dev, wa, wb
         (wax, way), (wbx, wby) = wa, wb
         for e, tr in enumerate(transitions[f]):
-            if tr is None or e == entry:
+            if e == entry:
                 continue
             px, py = dev[e]
             qx, qy = dev[(e + 1) % 3]
@@ -200,7 +203,10 @@ def _captures(dev, wa, wb, r_min, L_max):
 def enumerate_saddle_connections(
     s: ConeSurface, L_max: float, budget: int = 400_000
 ) -> SaddleConnectionSet:
-    """All directed saddle connections of length <= L_max between vertices."""
+    """All directed saddle connections of length <= L_max between vertices
+    of a closed surface."""
+    if not s.is_closed:
+        raise GeodesicError("surface must be closed")
     if not 0 < L_max < math.inf:
         raise GeodesicError("L_max must be finite and positive")
     found: dict[tuple, SaddleConnection] = {}
@@ -519,8 +525,6 @@ def enumerate_closed_geodesics(
     deduplicated by unoriented trace, sorted by length.  `budget` bounds the
     faces the unfolding develops and, separately, the chains the cycle
     search extends; the result is complete only if neither runs out."""
-    if not s.is_closed:
-        raise GeodesicError("surface must be closed")
     scs = enumerate_saddle_connections(s, L_max, budget)
     conns = scs.connections
     chain_budget = _Budget(budget)
@@ -591,13 +595,10 @@ def _develop_from_point(s, f0, pt, L_max, budget, target=None):
             r = math.dist((tx, ty), pt)
             if r <= L_max:
                 tdist = min(tdist, r)
-    # one seed per glued start edge, pushed last-first so that edge 0's
+    # one seed per start edge, pushed last-first so that edge 0's
     # subtree is developed first
     seeds = []
     for e0 in (2, 1, 0):
-        tr = s.transitions[f0][e0]
-        if tr is None:
-            continue
         P0, P1 = ch0[e0], ch0[(e0 + 1) % 3]
         r0, r1 = math.dist(P0, pt), math.dist(P1, pt)
         if min(r0, r1) < 1e-12:
@@ -606,7 +607,7 @@ def _develop_from_point(s, f0, pt, L_max, budget, target=None):
         wb = ((P1[0] - px) / r1, (P1[1] - py) / r1)
         if _cross(wa, wb) < 0:
             wa, wb = wb, wa
-        f2, e2, Re, (ex, ey) = tr
+        f2, e2, Re, (ex, ey) = s.transitions[f0][e0]
         seeds.append((f2, Re, (ex - px, ey - py), wa, wb, e2))
     complete = True
     try:
@@ -684,7 +685,7 @@ def _vertex_graph(s, L_max, budget):
 def point_distance(s: ConeSurface, x, y, L_max: float,
                    budget: int = 400_000) -> PointDistance:
     """Geodesic distance between points x = (face, (u, v)) and y, allowing
-    paths through cone points, capped at L_max.
+    paths through cone points, capped at L_max, on a closed surface.
 
     Each point's face must exist and its (u, v) must lie in chart(face), up
     to 1e-9 in barycentric coordinates; otherwise GeodesicError.  The vertex
@@ -693,6 +694,8 @@ def point_distance(s: ConeSurface, x, y, L_max: float,
     the surface, and inside it by (L_max, budget): repeated calls on one
     surface run one saddle search, and the memo never keeps a surface
     alive."""
+    if not s.is_closed:
+        raise GeodesicError("surface must be closed")
     if not 0 < L_max < math.inf:
         raise GeodesicError("L_max must be finite and positive")
     x, y = _query_point(s, x, "x"), _query_point(s, y, "y")

@@ -279,29 +279,51 @@ class ConeSurface:
     @cached_property
     def link_frames(self) -> np.ndarray:
         """(F, 3, 4) angular frame (offset, E_x, E_y, sigma) of each corner
-        on the link circle of its vertex.
+        on the link circle of its vertex; closed surfaces only.
 
         The corner spans [offset, offset + corner angle] of the link, E is
         the unit chart direction of the link walk's entry edge at the corner,
         and sigma = +-1 is the in-chart rotation sense from E toward the
-        corner interior.
+        corner interior.  The walk enters the vertex's first corner (in
+        order of face and corner) through its slot c, and the link starts,
+        at offset 0, at the corner the walk comes from.
         """
-        out = np.zeros((len(self.lengths), 3, 4))
-        done = set()
-        for f in range(len(self.lengths)):
-            for c in range(3):
-                if (f, c) in done:
-                    continue
-                for ff, cc, entry, off in self.vertex_link((f, c)):
-                    ch = self.charts[ff]
-                    other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
-                    E = ch[other] - ch[cc]
-                    E = E / math.hypot(E[0], E[1])
-                    # in a counterclockwise chart, cc + 2 lies counterclockwise of cc + 1
-                    sigma = 1.0 if other == (cc + 1) % 3 else -1.0
-                    out[ff, cc] = off, E[0], E[1], sigma
-                    done.add((ff, cc))
-        return _read_only(out)
+        if not self.is_closed:
+            raise SurfaceError("vertex links need a closed surface")
+        # dart 2(3f + c) + k is corner (f, c) entered through slot c (k = 0)
+        # or slot c + 2 (k = 1) and left through the other; its successor is
+        # the corner across that slot, entered through the twin, and dart
+        # d ^ 1 walks the same link the other way
+        g = self.glue_records
+        f, e, f2, e2, flip = np.concatenate([g, g[:, [2, 3, 0, 1, 4]]]).T
+        nxt = np.empty(6 * len(self.lengths), dtype=np.intp)
+        for k in (0, 1):
+            # slot e is slot c + 2 of corner e + 1 (k = 0) and slot c of corner e
+            k2 = (flip == k).astype(np.intp)
+            nxt[2 * (3 * f + (e + 1 - k) % 3) + k] = 2 * (3 * f2 + (e2 + k2) % 3) + k2
+        nxt = nxt.tolist()
+        angles = self.corner_angles.ravel().tolist()
+        xy = self.charts.reshape(-1, 2).tolist()
+        out: list[tuple | None] = [None] * len(angles)
+        for i in range(len(angles)):
+            if out[i] is not None:
+                continue
+            # dart 2i + 1 walks back, so 2i comes from nxt[2i + 1] ^ 1
+            start = d = nxt[2 * i + 1] ^ 1
+            off = 0.0
+            while True:
+                j, k = d >> 1, d & 1
+                # E runs to corner c + 1 (k = 0) or c + 2 (k = 1); in a
+                # counterclockwise chart c + 2 lies counterclockwise of c + 1
+                o = j - j % 3 + (j + 1 + k) % 3
+                ex, ey = xy[o][0] - xy[j][0], xy[o][1] - xy[j][1]
+                n = math.hypot(ex, ey)
+                out[j] = off, ex / n, ey / n, 1.0 - 2 * k
+                off += angles[j]
+                d = nxt[d]
+                if d == start:
+                    break
+        return _read_only(np.array(out, dtype=float).reshape(-1, 3, 4))
 
     # -- planar charts and transitions ----------------------------------
 
@@ -355,71 +377,6 @@ class ConeSurface:
             raise SurfaceError(f"slot ({f},{e}) is a boundary edge")
         f2, e2, R, t = self.transitions[f][e]
         return f2, e2, g[2], np.reshape(R, (2, 2)), np.array(t)
-
-    # -- vertex links ----------------------------------------------------
-
-    def _corner_slots(self, c: int) -> tuple[int, int]:
-        """The two edge slots incident to local corner c (next, prev)."""
-        return c, (c + 2) % 3
-
-    def _step_link(self, f: int, c: int, exit_slot: int):
-        """Cross `exit_slot` at corner (f, c); return (f2, c2, entry_slot)."""
-        g = self.glue_map.get((f, exit_slot))
-        if g is None:
-            return None
-        f2, e2, flip = g
-        starts = c == exit_slot  # vertex is the start of the exit edge
-        if starts:
-            c2 = (e2 + 1) % 3 if flip else e2
-        else:
-            c2 = e2 if flip else (e2 + 1) % 3
-        return f2, c2, e2
-
-    def vertex_link(self, corner: Corner) -> list[tuple[int, int, int, float]]:
-        """Corners around the vertex of `corner`, in cyclic (or chain) order.
-
-        Each item is (face, corner, slot entered through, angular offset); the
-        offset of an item is the total corner angle accumulated before it.
-        For a boundary vertex the walk starts at one boundary slot and ends
-        at the other.
-        """
-        v = self.vertex_of(corner)
-        f, c = corner
-        # rewind to a boundary slot if there is one
-        entry = self._corner_slots(c)[1]
-        start = (f, c, entry)
-        seen = {(f, c)}
-        while True:
-            step = self._step_link(start[0], start[1], start[2])
-            if step is None:
-                break
-            f2, c2, e2 = step
-            if (f2, c2) in seen:
-                break  # interior vertex: full cycle
-            seen.add((f2, c2))
-            other = [s for s in self._corner_slots(c2) if s != e2][0]
-            start = (f2, c2, other)
-        # walk forward accumulating offsets
-        out = []
-        offset = 0.0
-        f, c, entry = start
-        # entry slot for the forward walk is the *other* slot at start corner
-        entry = [s for s in self._corner_slots(c) if s != start[2]][0]
-        visited = set()
-        while True:
-            if (f, c) in visited:
-                break
-            visited.add((f, c))
-            out.append((f, c, entry, offset))
-            offset += self.face_angles(f)[c]
-            exit_slot = [s for s in self._corner_slots(c) if s != entry][0]
-            step = self._step_link(f, c, exit_slot)
-            if step is None:
-                break
-            f, c, entry = step
-        if any(self.vertex_of((ff, cc)) != v for ff, cc, _, _ in out):
-            raise SurfaceError(f"link walk around vertex {v} left the vertex")
-        return out
 
     # -- serialization ---------------------------------------------------
 

@@ -146,15 +146,82 @@ def transitions(s):
     return out
 
 
+def _corner_slots(c):
+    """The two edge slots incident to local corner c (next, prev)."""
+    return c, (c + 2) % 3
+
+
+def _step_link(s, f, c, exit_slot):
+    """Cross `exit_slot` at corner (f, c); return (f2, c2, entry_slot)."""
+    g = s.glue_map.get((f, exit_slot))
+    if g is None:
+        return None
+    f2, e2, flip = g
+    starts = c == exit_slot  # vertex is the start of the exit edge
+    if starts:
+        c2 = (e2 + 1) % 3 if flip else e2
+    else:
+        c2 = e2 if flip else (e2 + 1) % 3
+    return f2, c2, e2
+
+
+def vertex_link(s, corner):
+    """Corners around the vertex of `corner`, in cyclic (or chain) order.
+
+    Each item is (face, corner, slot entered through, angular offset); the
+    offset of an item is the total corner angle accumulated before it.
+    For a boundary vertex the walk starts at one boundary slot and ends
+    at the other.
+    """
+    v = s.vertex_of(corner)
+    f, c = corner
+    # rewind to a boundary slot if there is one
+    entry = _corner_slots(c)[1]
+    start = (f, c, entry)
+    seen = {(f, c)}
+    while True:
+        step = _step_link(s, start[0], start[1], start[2])
+        if step is None:
+            break
+        f2, c2, e2 = step
+        if (f2, c2) in seen:
+            break  # interior vertex: full cycle
+        seen.add((f2, c2))
+        other = [x for x in _corner_slots(c2) if x != e2][0]
+        start = (f2, c2, other)
+    # walk forward accumulating offsets
+    out = []
+    offset = 0.0
+    f, c, entry = start
+    # entry slot for the forward walk is the *other* slot at start corner
+    entry = [x for x in _corner_slots(c) if x != start[2]][0]
+    visited = set()
+    while True:
+        if (f, c) in visited:
+            break
+        visited.add((f, c))
+        out.append((f, c, entry, offset))
+        offset += s.face_angles(f)[c]
+        exit_slot = [x for x in _corner_slots(c) if x != entry][0]
+        step = _step_link(s, f, c, exit_slot)
+        if step is None:
+            break
+        f, c, entry = step
+    if any(s.vertex_of((ff, cc)) != v for ff, cc, _, _ in out):
+        raise SurfaceError(f"link walk around vertex {v} left the vertex")
+    return out
+
+
 def link_frames(s):
-    """ConeSurface.link_frames with sigma the sign of a chart cross product."""
+    """ConeSurface.link_frames by the rewinding corner walk, with sigma the
+    sign of a chart cross product."""
     out = np.zeros((len(s.faces), 3, 4))
     done = set()
     for f in range(len(s.faces)):
         for c in range(3):
             if (f, c) in done:
                 continue
-            for ff, cc, entry, off in s.vertex_link((f, c)):
+            for ff, cc, entry, off in vertex_link(s, (f, c)):
                 ch = s.chart(ff)
                 other = (cc + 1) % 3 if entry == cc else (cc + 2) % 3
                 E = ch[other] - ch[cc]

@@ -524,6 +524,37 @@ class TestVoronoi:
             voronoi_cells(sf.build_flat_torus(), mesh_h=0.05)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sf.build_cylinder(1.0, 0.5, 3), sf.build_collar_flat,
+    lambda: sf.build_round_annulus(1.0, 2.0)], ids=["cylinder", "collar", "annulus"])
+class TestBoundedSurfacesRefused:
+    """A boundary vertex's link is an interval, not a circle, so the link
+    angles of the saddle search do not apply there."""
+
+    def test_link_frames(self, build):
+        with pytest.raises(sf.SurfaceError, match="closed"):
+            build().link_frames
+
+    def test_saddle_connections(self, build):
+        with pytest.raises(GeodesicError, match="surface must be closed"):
+            enumerate_saddle_connections(build(), 1.2)
+
+    def test_closed_geodesics_and_systole(self, build):
+        s = build()
+        for search in (enumerate_closed_geodesics, systole):
+            with pytest.raises(GeodesicError, match="surface must be closed"):
+                search(s, 1.2)
+
+    def test_point_distance_before_developing(self, build, monkeypatch):
+        def develop(*args, **kwargs):
+            raise AssertionError("developed a surface with boundary")
+
+        monkeypatch.setattr(geo, "_develop_from_point", develop)
+        s = build()
+        with pytest.raises(GeodesicError, match="surface must be closed"):
+            point_distance(s, centroid(s, 0), centroid(s, 1), 1.2)
+
+
 @pytest.mark.parametrize("size", [math.nan, math.inf])
 class TestNonFiniteSizesRefused:
     def test_saddle_connections(self, dyck, size):

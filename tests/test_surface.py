@@ -240,14 +240,6 @@ class TestExtremalSurface:
         soul = dyck.marks["soul"]
         assert abs(sum(dyck.faces[f][e] for f, e in soul) - 1.0) < 1e-12
 
-    def test_vertex_links_close_up(self, dyck):
-        for f in range(len(dyck.faces)):
-            for c in range(3):
-                link = dyck.vertex_link((f, c))
-                tot = sum(dyck.face_angles(ff)[cc] for ff, cc, _, _ in link)
-                v = dyck.vertex_of((f, c))
-                assert abs(tot - dyck.vertex_angles[v]) < 1e-9
-
     def test_transitions(self, dyck):
         # bit for bit the geometric per-slot search it replaced
         want = loop.transitions(dyck)

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as loop
@@ -75,13 +75,45 @@ def _subdivided(s, times):
          "klein", "klein_k0", "klein_k7"])
 def test_transitions_match_reference(build):
     """The flip bit's rotation or reflection, bit for bit the one the
-    per-slot geometric search finds; sigma as the chart's cross product."""
+    per-slot geometric search finds.  On a closed surface the link frames
+    are the rewinding walk's, with sigma as the chart's cross product; a
+    surface with boundary has none."""
     s = build()
     want = loop.transitions(s)
     assert [(f, e) for f, row in enumerate(s.transitions) for e, tr in enumerate(row)
             if repr(tr) != repr(want[f][e])] == []
+    if s.is_closed:
+        ref = loop.link_frames(s)
+        assert np.argwhere(s.link_frames.view(np.int64) != ref.view(np.int64)).tolist() == []
+    else:
+        with pytest.raises(sf.SurfaceError, match="closed"):
+            s.link_frames
+
+
+def assert_links_tile(s):
+    """At each vertex the corner intervals [offset, offset + angle] tile
+    [0, theta] from an offset of exactly 0; E is a unit vector, sigma is
+    +-1, and the frames are the rewinding walk's bit for bit."""
+    frames = s.link_frames
+    off, ex, ey, sigma = np.moveaxis(frames, -1, 0)
+    assert np.abs(np.hypot(ex, ey) - 1).max() <= 1e-15
+    assert set(sigma.ravel().tolist()) <= {-1.0, 1.0}
+    for v, theta in enumerate(s.vertex_angles):
+        at = s.vertex_ids == v
+        order = np.argsort(off[at])
+        lo, ends = off[at][order], (off + s.corner_angles)[at][order]
+        assert lo[0] == 0.0
+        assert np.abs(lo[1:] - ends[:-1]).max(initial=0.0) <= 1e-12
+        assert abs(ends[-1] - theta) <= 1e-12
     ref = loop.link_frames(s)
-    assert np.argwhere(s.link_frames.view(np.int64) != ref.view(np.int64)).tolist() == []
+    assert np.argwhere(frames.view(np.int64) != ref.view(np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("build", [
+    sf.build_extremal_dyck, lambda: sf.orientation_double_cover(sf.build_extremal_dyck())],
+    ids=["extremal", "cover"])
+def test_links_tile(build):
+    assert_links_tile(build())
 
 
 def assert_same_connections(s, L_max):
@@ -131,21 +163,28 @@ def test_faces_develop_in_reference_order(dyck):
             assert n > 1
 
 
-@settings(max_examples=12, deadline=None)
+# no shrink phase: a failing example is reported as drawn, where shrinking
+# it could take minutes
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
 @given(st.floats(0.7, 1.3), st.floats(-0.5, 0.5), st.floats(0.0, 1.0))
 def test_subdivided_tori_match_reference(a, shear_frac, stretch):
     shear = a * shear_frac
     b = a * (math.sqrt(1.0 - shear_frac ** 2) + 0.2 * stretch)
     s = sf.subdivide(sf.build_flat_torus(a, b, shear))
+    assert_links_tile(s)
     assert_same_connections(s, 2.2 * a)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
 @given(st.floats(0.6, 1.0), st.floats(1.5, 1.7), st.integers(0, 19))
 def test_klein_bottles_match_reference(a, ratio, k):
     b = a * ratio
     s = klein_bottle(a, b, b * k / 20)
     assert not s.orientable and s.is_closed
+    assert_links_tile(s)
     assert_same_connections(s, 2.2 * a)
 
 
