@@ -36,8 +36,12 @@ EXCLUDED_REGIONS = ("mobius",)
 # most in-face node pairs a DistanceField builds; each pair holds about
 # 100 bytes while the graph is built
 MAX_FIELD_PAIRS = 10_000_000
-# most point-node distances DistanceField.eval_points holds at once
+# most point-node distances DistanceField.eval_points and .within hold at
+# once.  Each point-node sum is the same float in any block or node subset,
+# so a subset's minimum is never below the full one: within's early accept
+# from every WITHIN_STRIDE-th node is exact
 EVAL_BLOCK = 1 << 15
+WITHIN_STRIDE = 16
 # most angle gaps _successors holds at once
 SUCC_BLOCK = 1 << 12
 
@@ -756,6 +760,12 @@ class DistanceField:
     dropped.  Graph paths are unions of in-face chords, and the node error
     is O(mesh_h).  A graph of more than MAX_FIELD_PAIRS in-face node pairs
     is refused before it is built.
+
+    A point of face f takes the least chart distance plus node distance
+    over the face's nodes (`eval_points`).  Each sum is the same float
+    whichever nodes are evaluated with it, so a subset's minimum is never
+    below the full one; `within` accepts most points from a sparse subset
+    and evaluates only the rest in full, with the same result.
     """
 
     def __init__(self, s: ConeSurface, mesh_h: float):
@@ -840,21 +850,41 @@ class DistanceField:
 
     def eval_points(self, f: int, pts: np.ndarray) -> np.ndarray:
         """Distance at interior points of face f: through the nearest boundary
-        node (exact up to the node spacing).  Points are taken in blocks of
-        at most EVAL_BLOCK point-node distances."""
+        node (exact up to the node spacing)."""
+        ids, pos = self._face_nodes[f]
+        return _min_through(np.asarray(pts, dtype=float), pos,
+                            self._solved()[ids])
+
+    def within(self, f: int, pts: np.ndarray, r: float) -> np.ndarray:
+        """Exactly eval_points(f, pts) <= r, element for element.  Only
+        nodes within r can bring a point within r; every WITHIN_STRIDE-th of
+        them accepts most points early, and the rest go through eval_points."""
         ids, pos = self._face_nodes[f]
         d = self._solved()[ids]
         pts = np.asarray(pts, dtype=float)
-        out = np.empty(len(pts))
-        step = max(1, EVAL_BLOCK // len(ids))
-        for i in range(0, len(pts), step):
-            dm = _hypot(pts[i:i + step, None, :], pos[None, :, :])
-            dm += d
-            dm.min(axis=1, out=out[i:i + step])
-        return out
+        close = np.flatnonzero(d <= r)
+        if not len(close):
+            return np.zeros(len(pts), dtype=bool)
+        sparse = close[::WITHIN_STRIDE]
+        inside = _min_through(pts, pos[sparse], d[sparse]) <= r
+        rest = np.flatnonzero(~inside)
+        inside[rest] = self.eval_points(f, pts[rest]) <= r
+        return inside
 
     def vertex_distance(self, v: int) -> float:
         return float(self._solved()[self._vertex_node(v)])
+
+
+def _min_through(pts: np.ndarray, pos: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """min over nodes j of |pts - pos[j]| + d[j] for each point, in blocks of
+    at most EVAL_BLOCK point-node distances."""
+    out = np.empty(len(pts))
+    step = max(1, EVAL_BLOCK // len(pos))
+    for i in range(0, len(pts), step):
+        dm = _hypot(pts[i:i + step, None, :], pos[None, :, :])
+        dm += d
+        dm.min(axis=1, out=out[i:i + step])
+    return out
 
 
 def _hypot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -897,15 +927,20 @@ def _sublevel_once(s, curve_slots, r, mesh_h):
     for f in range(len(s.faces)):
         m = max(1, math.ceil(max(s.faces[f]) / mesh_h))
         pts, sub_area = _subtriangle_centroids(s, f, m)
-        d = field.eval_points(f, pts)
-        total += sub_area * int((d <= r).sum())
+        total += sub_area * int(field.within(f, pts, r).sum())
     return total
 
 
 def sublevel_area(s: ConeSurface, curve_slots, r: float, mesh_h: float = 0.01,
                   extrapolate: bool = True) -> SublevelArea:
     """Area of the set of points within distance r of the marked curve,
-    with Richardson extrapolation over one mesh refinement."""
+    with Richardson extrapolation over one mesh refinement.
+
+    Each face is cut into congruent subtriangles, counted when their
+    centroid is within r by DistanceField.within: exactly the count of
+    eval_points(...) <= r, since a subset of nodes accepts a point only if
+    all nodes do.
+    """
     if not 0 < r < math.inf:
         raise GeodesicError("r must be finite and positive")
     a1 = _sublevel_once(s, curve_slots, r, mesh_h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 import loop_reference as loop
 from dycksurf import capacity as cap
@@ -291,6 +291,45 @@ class TestFemCapacity:
         (K,) = stiffness
         assert K.row.tolist() == rows and K.col.tolist() == cols
         assert K.data.tolist() == vals
+
+    @pytest.mark.parametrize("build, mesh_h", [
+        (lambda: sf.build_cylinder(2.0, 0.5), 0.1),
+        (lambda: sf.build_round_annulus(1.0, math.e), 0.15),
+        (sf.build_collar_flat, 0.06),
+        (sf.build_collar_flat, 0.03),
+        (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 96, 24),
+         math.inf)])
+    def test_energy_matches_direct_solve(self, build, mesh_h, monkeypatch):
+        s = build()
+        est = fem_capacity(s, mesh_h=mesh_h)
+        assert 0 < est.meta["cg_iterations"] < cap.CG_MAX_STEPS
+        assert est.meta["residual"] <= 10 * cap.CG_RTOL
+        monkeypatch.setattr(cap, "spsolve", loop.direct_solve)
+        direct = fem_capacity(s, mesh_h=mesh_h)
+        assert est.value == pytest.approx(direct.value, rel=1e-12, abs=0)
+
+    def test_indefinite_system_refused(self):
+        # p.Ap = -12 at step 2, not a NaN or a ZeroDivisionError
+        A = csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(CapacityError, match="at step 2"):
+            cap.spsolve(A, np.array([1.0, 0.0]))
+
+    def test_bad_systems_refused(self):
+        with pytest.raises(CapacityError, match="diagonal"):
+            cap.spsolve(csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]])),
+                        np.array([1.0, 1.0]))
+        with pytest.raises(CapacityError, match="not finite"):
+            cap.spsolve(csr_matrix(np.eye(2)), np.array([1.0, math.nan]))
+
+    def test_step_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(cap, "CG_MAX_STEPS", 5)
+        with pytest.raises(CapacityError, match="CG_MAX_STEPS"):
+            fem_capacity(sf.build_collar_flat(), mesh_h=0.06)
+
+    def test_zero_right_hand_side(self):
+        x, steps, residual = cap.spsolve(csr_matrix(np.eye(3)), np.zeros(3))
+        assert x.tolist() == [0.0, 0.0, 0.0]
+        assert (steps, residual) == (0, 0.0)
 
     def test_non_annulus_rejected(self):
         with pytest.raises(CapacityError):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -5,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference as loop
 from dycksurf import geodesic as geo
@@ -452,6 +455,25 @@ class TestDistanceFieldAndSublevel:
             assert (field.eval_points(f, pts).tobytes()
                     == loop.eval_points(field, f, pts).tobytes())
 
+    def test_sublevel_count_matches_dense_oracle(self):
+        # the early-accept count equals, not just approximates, the count of
+        # dense-formula distances within r on both meshes
+        c = sf.build_collar_flat()
+        soul = [tuple(sl) for sl in c.marks["soul"]]
+        raw = []
+        for mesh_h in (0.01, 0.005):
+            field = DistanceField(c, mesh_h).solve(source_slots=soul)
+            total = 0.0
+            for f in range(len(c.faces)):
+                m = max(1, math.ceil(max(c.faces[f]) / mesh_h))
+                pts, sub_area = geo._subtriangle_centroids(c, f, m)
+                total += sub_area * int(
+                    (loop.eval_points(field, f, pts) <= 0.5).sum())
+            raw.append(total)
+        res = sublevel_area(c, soul, 0.5, mesh_h=0.01)
+        assert res.raw_values == tuple(raw)
+        assert res.area == 2 * raw[1] - raw[0]
+
     def test_size_limit_counts_the_in_face_pairs(self, monkeypatch):
         c = sf.build_collar_flat()
         field = DistanceField(c, 0.05)
@@ -486,6 +508,73 @@ class TestDistanceFieldAndSublevel:
         for v in (-1, dyck.n_vertices):
             with pytest.raises(GeodesicError):
                 field.vertex_distance(v)
+
+
+@functools.cache
+def solved_fields():
+    """A soul-sourced field on the flat collar and a vertex-sourced one on a
+    subdivided torus."""
+    c = sf.build_collar_flat()
+    t = sf.subdivide(sf.build_flat_torus(1.0, 1.0))
+    return (DistanceField(c, 0.02).solve(source_slots=c.marks["soul"]),
+            DistanceField(t, 0.05).solve(source_vertices=[0]))
+
+
+class TestWithin:
+    """DistanceField.within(f, pts, r) is exactly eval_points(f, pts) <= r."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(which=st.sampled_from([0, 1]), face=st.integers(0, 10_000),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400),
+           radius=st.sampled_from(["node", "point", "below_point", "below",
+                                   "above", "uniform"]),
+           pick=st.integers(0, 10_000))
+    def test_matches_eval_points(self, which, face, seed, n, radius, pick):
+        field = solved_fields()[which]
+        f = face % len(field.surface.faces)
+        ids, pos = field._face_nodes[f]
+        d = field.node_distance[ids]
+        rng = np.random.default_rng(seed)
+        # some node positions, then points inside the face and some of its
+        # chart plane around it
+        pts = rng.dirichlet(np.ones(3), size=n) @ field.surface.chart(f)
+        pts[::3] += rng.normal(scale=0.1, size=pts[::3].shape)
+        pts[:n // 8] = pos[rng.integers(len(pos), size=n // 8)]
+        full = field.eval_points(f, pts)
+        if radius == "node":  # ties with a node distance
+            r = float(d[pick % len(d)])
+        elif radius == "point" and n:  # ties with a point's distance
+            r = float(full[pick % n])
+        elif radius == "below_point" and n:  # one ulp short of a point's
+            r = float(np.nextafter(full[pick % n], -math.inf))
+        elif radius == "below":
+            r = float(np.nextafter(d.min(), -math.inf))
+        elif radius == "above":
+            r = float(full.max(initial=d.max()))
+        else:
+            r = float(rng.uniform(0.0, 1.2 * d.max() + 0.2))
+        got = field.within(f, pts, r)
+        assert got.dtype == bool
+        assert got.tolist() == (full <= r).tolist()
+
+    def test_nearest_node_at_its_own_distance(self):
+        # r equal to the face's least node distance, at that node: within
+        for field in solved_fields():
+            for f in (0, 5):
+                ids, pos = field._face_nodes[f]
+                d = field.node_distance[ids]
+                j = int(d.argmin())
+                assert field.within(f, pos[[j]], float(d[j])).tolist() == [True]
+
+    def test_empty_points(self):
+        for field in solved_fields():
+            got = field.within(0, np.empty((0, 2)), 0.3)
+            assert got.shape == (0,) and got.dtype == bool
+
+    def test_read_before_solve_refused(self):
+        field = DistanceField(sf.build_flat_torus(), 0.1)
+        with pytest.raises(GeodesicError):
+            field.within(0, np.array([[0.5, 0.2]]), 0.3)
 
 
 class TestVoronoi:
