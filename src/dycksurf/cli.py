@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import __version__, capacity, constants, hexopt, surface
 from .capacity import CapacityError
-from .geodesic import GeodesicError, enumerate_closed_geodesics, geodesics_to_json
+from .geodesic import GeodesicError, geodesics_to_json, systole
 from .hexopt import HexOptError
 from .surface import SurfaceError
 
@@ -59,7 +59,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# config-file key (and command-line option) -> RunConfig field; the field
+# keeps the name `fmt`, so the config digest does not change
+_CONFIG_KEYS = {("format" if f.name == "fmt" else f.name): f.name
+                for f in dataclasses.fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -74,9 +77,9 @@ def load_config_file(path: str) -> dict:
                 raise BadInput(f"{path}:{ln}: expected 'key = value'")
             key, val = (x.strip() for x in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_FIELDS:
+            if key not in _CONFIG_KEYS:
                 raise BadInput(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = val
+            out[_CONFIG_KEYS[key]] = val
     return out
 
 
@@ -84,10 +87,10 @@ def build_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for key in _CONFIG_FIELDS:
-        val = getattr(args, "format" if key == "fmt" else key, None)
+    for key, name in _CONFIG_KEYS.items():
+        val = getattr(args, key, None)
         if val is not None:
-            values[key] = val
+            values[name] = val
     for key in ("digits", "budget"):
         if key in values:
             values[key] = int(values[key])
@@ -119,7 +122,7 @@ def _render(report: dict, cfg: RunConfig) -> str:
             exact = (r["exact_form"] or "").replace(",", ";")
             lines.append(f"{r['name']},{r['value']},{exact}")
         return "\n".join(lines) + "\n"
-    return _render_text(report)
+    return _render_text(report) + "\n"
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -176,8 +179,7 @@ def cmd_build(cfg: RunConfig, args) -> int:
         "orientable": s.orientable,
         "area": s.area,
         "gauss_bonnet_residual": s.gauss_bonnet_residual(),
-        "cone_angles": sorted(round(a, 12) for a in s.vertex_angles
-                              if abs(a - 2 * math.pi) > 1e-9),
+        "cone_angles": sorted(round(a, 12) for a in s.cone_points().values()),
     }
     _emit(report, cfg)
     return EXIT_OK
@@ -185,16 +187,16 @@ def cmd_build(cfg: RunConfig, args) -> int:
 
 def cmd_systole(cfg: RunConfig, args) -> int:
     s = surface.build_extremal_dyck()
-    res = enumerate_closed_geodesics(s, cfg.lmax, cfg.budget)
+    res = systole(s, cfg.lmax, cfg.budget)
     report = _base_report(cfg)
     report["search"] = {"lmax": cfg.lmax, "complete": res.complete,
                        "count": len(res.paths)}
     report["geodesics"] = geodesics_to_json(res.paths)
-    if not res.paths:
+    if not res.found:
         report["message"] = f"no closed geodesic <= {cfg.lmax}"
         _emit(report, cfg)
         return EXIT_COMPUTE
-    report["systole"] = res.paths[0].length
+    report["systole"] = res.length
     _emit(report, cfg)
     return EXIT_OK if res.complete else EXIT_COMPUTE
 
@@ -337,8 +339,8 @@ def run_pipeline(cfg: RunConfig,
                   ok, 1e-12):
         stage_fail("area")
 
-    res = enumerate_closed_geodesics(s, cfg.lmax, cfg.budget)
-    if not res.paths:
+    res = systole(s, cfg.lmax, cfg.budget)
+    if not res.found:
         _check(checks, "systole search", None, False, None, "mesh")
         report["systole"] = {
             "message": f"no closed geodesic <= {cfg.lmax}",
@@ -346,7 +348,7 @@ def run_pipeline(cfg: RunConfig,
         }
         stage_fail("systole")
     else:
-        sys_len = res.paths[0].length
+        sys_len = res.length
         ok = res.complete and abs(sys_len - 1.0) <= 1e-6
         ok &= all(g.length > 1.0 - 1e-6 for g in res.paths)
         if not _check(checks, "unit systole certified", sys_len, ok, 1e-6,
@@ -357,7 +359,7 @@ def run_pipeline(cfg: RunConfig,
         if not _check(checks, "systolic ratio", ratio,
                       abs(ratio - ratio_closed) <= 1e-6, 1e-6):
             stage_fail("systole")
-        report["systole"] = {"value": res.paths[0].length,
+        report["systole"] = {"value": sys_len,
                             "count": len(res.paths),
                             "complete": res.complete}
 
@@ -379,7 +381,10 @@ def run_pipeline(cfg: RunConfig,
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    report, first_fail, _ = run_pipeline(cfg, perturb_h=args.perturb_h or 0.0)
+    perturb_h = args.perturb_h or 0.0
+    if not math.isfinite(perturb_h):
+        raise BadInput("perturb-h must be finite")
+    report, first_fail, _ = run_pipeline(cfg, perturb_h=perturb_h)
     _emit(report, cfg)
     return EXIT_OK if first_fail is None else EXIT_CHECK_FAILED
 
@@ -401,7 +406,7 @@ def cmd_export(cfg: RunConfig, args) -> int:
         surface.build_collar_flat().save_json(cfg.out)
     elif target == "geodesics":
         s = surface.build_extremal_dyck()
-        res = enumerate_closed_geodesics(s, cfg.lmax, cfg.budget)
+        res = systole(s, cfg.lmax, cfg.budget)
         with open(cfg.out, "w") as fh:
             json.dump(geodesics_to_json(res.paths), fh, indent=2,
                       sort_keys=True)

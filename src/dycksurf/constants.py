@@ -106,12 +106,6 @@ class QuadraticNumber:
         num = self * o.conj()
         return QuadraticNumber(num.a / n, num.b / n, self.d)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
-
     def conj(self) -> "QuadraticNumber":
         return QuadraticNumber(self.a, -self.b, self.d)
 
@@ -127,15 +121,8 @@ class QuadraticNumber:
                 mp.mpf(self.b.numerator) / self.b.denominator
             ) * mp.sqrt(self.d)
 
-    def decimal(self, digits: int) -> str:
-        """Correctly rounded decimal string with `digits` significant digits."""
-        return eval_decimal(lambda: self.to_mpf(), digits)
-
     def __float__(self) -> float:
         return float(self.to_mpf(30))
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
 def eval_decimal(build: Callable[[], mp.mpf], digits: int) -> str:

@@ -416,6 +416,15 @@ class EnumerationResult:
     n_saddle_connections: int
     chain_nodes: int  # chains the cycle search extended, roots included
 
+    @property
+    def found(self) -> bool:
+        return bool(self.paths)
+
+    @property
+    def length(self) -> float | None:
+        """Length of the shortest path, or None if none was found."""
+        return self.paths[0].length if self.paths else None
+
 
 def _chain_gap(theta: float, a_in: float, a_out: float) -> tuple[float, float]:
     delta = (a_out - a_in) % theta
@@ -550,17 +559,12 @@ def _cycle_canonical_of_path(p: GeodesicPath):
     return min(tuple(key[i:] + key[:i]) for i in range(n))
 
 
-@dataclass
-class SystoleResult:
-    found: bool
-    length: float | None
-    path: GeodesicPath | None
-    complete: bool
-
-
-def systole(s: ConeSurface, L_max: float, budget: int = 400_000) -> SystoleResult:
-    """Shortest closed geodesic; valid as the systole because on a surface
-    with all cone angles >= 2*pi no closed geodesic is contractible."""
+def systole(s: ConeSurface, L_max: float,
+            budget: int = 400_000) -> EnumerationResult:
+    """Closed geodesics of length <= L_max, as enumerate_closed_geodesics
+    gives them, on a closed surface whose cone angles are all >= 2*pi.  Its
+    shortest path is then the systole, since on such a surface no closed
+    geodesic is contractible."""
     if not s.is_closed:
         raise GeodesicError("surface must be closed")
     bad = [v for v, a in enumerate(s.vertex_angles) if a < 2 * math.pi - 1e-9]
@@ -569,11 +573,7 @@ def systole(s: ConeSurface, L_max: float, budget: int = 400_000) -> SystoleResul
             f"cone angle below 2*pi at vertices {bad}: surface is not "
             "nonpositively curved, shortest-geodesic method does not apply"
         )
-    res = enumerate_closed_geodesics(s, L_max, budget)
-    if not res.paths:
-        return SystoleResult(False, None, None, res.complete)
-    best = res.paths[0]
-    return SystoleResult(True, best.length, best, res.complete)
+    return enumerate_closed_geodesics(s, L_max, budget)
 
 
 # -- point distances ----------------------------------------------------
@@ -766,6 +766,9 @@ class DistanceField:
     whichever nodes are evaluated with it, so a subset's minimum is never
     below the full one; `within` accepts most points from a sparse subset
     and evaluates only the rest in full, with the same result.
+
+    `solve` sets `node_distance`, the distance of each node, so
+    `node_distance[v]` is the distance of vertex v.
     """
 
     def __init__(self, s: ConeSurface, mesh_h: float):
@@ -870,9 +873,6 @@ class DistanceField:
         rest = np.flatnonzero(~inside)
         inside[rest] = self.eval_points(f, pts[rest]) <= r
         return inside
-
-    def vertex_distance(self, v: int) -> float:
-        return float(self._solved()[self._vertex_node(v)])
 
 
 def _min_through(pts: np.ndarray, pos: np.ndarray, d: np.ndarray) -> np.ndarray:

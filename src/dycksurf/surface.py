@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -190,9 +189,6 @@ class ConeSurface:
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + len(self.lengths)
-
-    def face_angles(self, f: int) -> tuple[float, float, float]:
-        return tuple(self.corner_angles[f].tolist())
 
     @cached_property
     def vertex_angles(self) -> list[float]:
@@ -407,59 +403,15 @@ class ConeSurface:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConeSurface":
-        marks = {}
-        for k, v in d.get("marks", {}).items():
-            if v is None or v == []:
-                continue
-            if k in ("weierstrass", "soul"):
-                v = [tuple(x) for x in v]
-            elif k in ("p", "q"):
-                v = tuple(v)
-            elif k == "boundary_labels":
-                v = {_parse_slot(key): lbl for key, lbl in v.items()}
-            marks[k] = v
-        return cls(d["faces"], [tuple(g) for g in d["gluings"]], d.get("name", ""), marks)
-
-    @classmethod
-    def load_json(cls, path) -> "ConeSurface":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
-    def structurally_equal(self, other: "ConeSurface", tol: float = 1e-12) -> bool:
-        if len(self.faces) != len(other.faces) or len(self.gluings) != len(other.gluings):
-            return False
-        if any(
-            abs(a - b) > tol for t1, t2 in zip(self.faces, other.faces) for a, b in zip(t1, t2)
-        ):
-            return False
-        return sorted(self.gluings) == sorted(other.gluings)
-
-
-def _parse_slot(key: str) -> Slot:
-    """Inverse of str((f, e))."""
-    f, e = key.strip("()").split(",")
-    return int(f), int(e)
-
 
 # -- cut graphs --------------------------------------------------------
 
 
-@dataclass
-class CutGraph:
-    """Edge paths on a surface, each path a list of interior edge slots."""
-
-    paths: list[list[Slot]] = field(default_factory=list)
-
-    def all_slots(self) -> list[Slot]:
-        return [s for p in self.paths for s in p]
-
-
-def cut_along_graph(s: ConeSurface, g: CutGraph) -> ConeSurface:
-    """Cut the surface open along mesh-edge paths (removes their gluings)."""
+def cut_along_graph(s: ConeSurface, slots) -> ConeSurface:
+    """Cut the surface open along a graph of mesh edges, given as a list of
+    interior edge slots (removes their gluings)."""
     cut: set[Slot] = set()
-    for slot in g.all_slots():
+    for slot in slots:
         slot = (int(slot[0]), int(slot[1]))
         rec = s.glue_map.get(slot)
         if rec is None:
@@ -564,52 +516,7 @@ def _corner_child(corner) -> Corner:
     return (4 * f + c, c)
 
 
-# -- boundary components -----------------------------------------------
-
-
-def boundary_components(s: ConeSurface) -> list[list[Slot]]:
-    slots = s.boundary_slots
-    n = len(slots)
-    # node i is boundary slot i, node n + v is vertex v; a slot joins its ends
-    pairs = [(i, n + s.vertex_of((f, c)))
-             for i, (f, e) in enumerate(slots) for c in (e, (e + 1) % 3)]
-    labels = _components(n + s.n_vertices, pairs)
-    comps: dict[int, list[Slot]] = {}
-    for i, slot in enumerate(slots):
-        comps.setdefault(labels[i], []).append(slot)
-    return sorted(comps.values())
-
-
 # -- builders -----------------------------------------------------------
-
-
-def build_trapezoid(p: SurfaceParameters) -> np.ndarray:
-    """Counterclockwise planar trapezoid: short side on the x axis, height h."""
-    if not (0 < p.theta < math.pi / 2):
-        raise SurfaceError("theta out of range")
-    if abs(p.alpha - (math.pi - p.theta) / 2) > 1e-9:
-        raise SurfaceError("alpha and theta violate the defining relations")
-    w = p.h / math.tan(p.alpha)
-    return np.array(
-        [
-            [0.0, 0.0],
-            [p.short_side, 0.0],
-            [p.short_side + w, p.h],
-            [-w, p.h],
-        ]
-    )
-
-
-def surface_from_vertex_faces(coords, faces, name: str = "", marks=None) -> ConeSurface:
-    """Build a ConeSurface from a vertex-indexed triangulation.
-
-    Only valid when no two faces share more than one edge; gluings and flips
-    are recovered from shared (unordered) vertex-id pairs.
-    """
-    coords = np.asarray(coords, dtype=float)
-    tris = np.array(faces, dtype=int).reshape(-1, 3)
-    gluings, _ = match_vertex_edges(tris)
-    return ConeSurface(side_lengths(coords[tris]), gluings, name=name, marks=marks)
 
 
 def side_lengths(pts) -> np.ndarray:
@@ -668,70 +575,6 @@ def build_flat_torus(a: float = 1.0, b: float = 1.0, shear: float = 0.0) -> Cone
         (0, 1, 1, 2, True),  # right ~ left
     ]
     return ConeSurface(faces, gluings, name=f"torus({a},{b},{shear})")
-
-
-def build_flat_klein_bottle(a: float = 1.0, b: float = 1.0) -> ConeSurface:
-    """Flat Klein bottle: an a x b rectangle, top glued by translation and
-    sides glued with a vertical flip."""
-    l_d = math.hypot(a, b)
-    # faces (0, ae1, ae1+be2) and (0, ae1+be2, be2)
-    faces = [(a, b, l_d), (l_d, a, b)]
-    gluings = [
-        (0, 2, 1, 0, True),
-        (0, 0, 1, 1, True),  # bottom ~ top, translation
-        (0, 1, 1, 2, False),  # right ~ left, reversed
-    ]
-    return ConeSurface(faces, gluings, name=f"klein({a},{b})")
-
-
-def build_cylinder(circumference: float, height: float, columns: int = 6) -> ConeSurface:
-    """Flat right cylinder, both boundary circles free; `columns` >= 3.
-
-    Column j is a w x height rectangle split along its rising diagonal:
-    faces 2j = (b_j, b_j+1, u_j+1) and 2j+1 = (b_j, u_j+1, u_j).
-    """
-    if columns < 3:
-        raise SurfaceError("need at least 3 columns")
-    n = columns
-    w = circumference / n
-    diag = math.hypot(w, height)
-    faces = []
-    gluings = []
-    labels = {}
-    for j in range(n):
-        faces.append((w, height, diag))
-        faces.append((diag, w, height))
-        gluings.append((2 * j, 2, 2 * j + 1, 0, True))  # diagonal
-        gluings.append((2 * j, 1, 2 * ((j + 1) % n) + 1, 2, True))  # vertical seam
-        labels[(2 * j, 0)] = "bottom"
-        labels[(2 * j + 1, 1)] = "top"
-    return ConeSurface(faces, gluings, name=f"cylinder({circumference},{height})",
-                       marks={"boundary_labels": labels})
-
-
-def build_round_annulus(r_in: float, r_out: float, n_theta: int = 48, n_r: int = 8) -> ConeSurface:
-    """Planar round annulus triangulated on a polar grid."""
-    coords = []
-    for i in range(n_r + 1):
-        r = r_in * (r_out / r_in) ** (i / n_r)
-        for j in range(n_theta):
-            t = 2 * math.pi * j / n_theta
-            coords.append((r * math.cos(t), r * math.sin(t)))
-    tris = []
-    for i in range(n_r):
-        for j in range(n_theta):
-            j2 = (j + 1) % n_theta
-            a, b = i * n_theta + j, i * n_theta + j2
-            c, d = (i + 1) * n_theta + j, (i + 1) * n_theta + j2
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    s = surface_from_vertex_faces(coords, tris, name="annulus")
-    labels = {}
-    for f, e in s.boundary_slots:
-        inner = f < 2 * n_theta
-        labels[(f, e)] = "bottom" if inner else "top"
-    return ConeSurface(s.lengths, s.glue_records, name=f"annulus({r_in},{r_out})",
-                       marks={"boundary_labels": labels})
 
 
 def build_extremal_dyck(p: SurfaceParameters | None = None) -> ConeSurface:
@@ -806,15 +649,11 @@ def build_extremal_dyck(p: SurfaceParameters | None = None) -> ConeSurface:
     return ConeSurface(faces, gluings, name="dyck_extremal", marks=marks)
 
 
-def extremal_cut_graph(s: ConeSurface) -> CutGraph:
-    """The symmetry graph: three p--q arcs through the Weierstrass points
-    (the identified outer sides of the hexagonal annulus)."""
-    paths = []
-    for j in range(3):
-        b = 3 * j + 1
-        c = 3 * j + 2
-        paths.append([(c, 1), (b, 1)])  # O_j -> M_j -> O_{j+1}
-    return CutGraph(paths)
+def extremal_cut_graph(s: ConeSurface) -> list[Slot]:
+    """The symmetry graph as edge slots: three p--q arcs O_j -> M_j ->
+    O_{j+1} through the Weierstrass points (the identified outer sides of
+    the hexagonal annulus), each the slots (C_j, 1), (B_j, 1)."""
+    return [slot for j in range(3) for slot in ((3 * j + 2, 1), (3 * j + 1, 1))]
 
 
 def build_collar_flat(p: SurfaceParameters | None = None) -> ConeSurface:

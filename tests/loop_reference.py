@@ -204,7 +204,7 @@ def vertex_link(s, corner):
             break
         visited.add((f, c))
         out.append((f, c, entry, offset))
-        offset += s.face_angles(f)[c]
+        offset += s.corner_angles[f].tolist()[c]
         exit_slot = [x for x in _corner_slots(c) if x != entry][0]
         step = _step_link(s, f, c, exit_slot)
         if step is None:

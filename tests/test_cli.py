@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import dycksurf
-from dycksurf import capacity, hexopt
+import fixtures as fx
+from dycksurf import capacity, hexopt, surface
 from dycksurf.cli import (
     BadInput,
     RunConfig,
@@ -87,13 +88,30 @@ class TestConfigFile:
         assert main(["--digits", "10", "constants"]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", ["lmax", "mesh-h", "tol"])
+    @pytest.mark.parametrize("key", ["lmax", "mesh-h", "tol", "perturb-h"])
     def test_non_finite_float_exit_code(self, tmp_path, capsys, key, value):
-        assert main([f"--{key}", value, "constants"]) == 2
+        if key == "perturb-h":  # an option of verify, not a config key
+            assert main(["verify", f"--{key}", value]) == 2
+            assert "perturb-h must be finite" in capsys.readouterr().err
+        else:
+            assert main([f"--{key}", value, "constants"]) == 2
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"{key} = {value}\n")
         assert main(["--config", str(cfgfile), "constants"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_format_key(self, tmp_path, capsys):
+        # the file key is `format`, as the option is; `fmt`, the field
+        # name, is not a key
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("format = text\n")
+        assert load_config_file(str(cfgfile)) == {"fmt": "text"}
+        assert run(capsys, "--config", str(cfgfile), "build") == run(
+            capsys, "--format", "text", "build")
+        cfgfile.write_text("fmt = text\n")
+        assert main(["--config", str(cfgfile), "build"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown key 'fmt'" in captured.err
 
 
 class TestConstants:
@@ -126,6 +144,19 @@ class TestConstants:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_ends_in_newline(self, capsys, fmt):
+        code, out = run(capsys, "build", "--format", fmt)
+        assert code == 0
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    def test_text_report(self, capsys):
+        code, out = run(capsys, "build", "--format", "text")
+        lines = out.split("\n")
+        assert lines[0] == "config_digest: " + RunConfig(fmt="text").digest()
+        assert lines[1] == "surface:" and lines[-2] == "version: " + dycksurf.__version__
+        assert "  euler_characteristic: -1" in lines
+
     def test_report(self, capsys):
         code, rep = run_json(capsys, "build")
         assert code == 0
@@ -152,6 +183,14 @@ class TestSystole:
         code, rep = run_json(capsys, "systole", "--lmax", "0.5")
         assert code == 3
         assert rep["message"] == "no closed geodesic <= 0.5"
+
+    def test_curvature_checked(self, capsys, monkeypatch):
+        # the command certifies through geodesic.systole, which refuses a
+        # positively curved surface
+        monkeypatch.setattr(surface, "build_extremal_dyck", fx.build_tetrahedron)
+        assert main(["systole"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cone angle below" in captured.err
 
 
 class TestHexoptAndCapacity:

@@ -28,7 +28,7 @@ class TestQuadraticArithmetic:
 
     def test_seven_digit_evaluation(self):
         x = q19(1, 1) / 9
-        assert x.decimal(7) == "0.5954332"
+        assert eval_decimal(x.to_mpf, 7) == "0.5954332"
 
     def test_conjugation(self):
         assert q19(8, -1).conj() == q19(8, 1)

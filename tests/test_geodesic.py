@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures as fx
 import loop_reference as loop
 from dycksurf import geodesic as geo
 from dycksurf import surface as sf
@@ -75,7 +76,7 @@ class TestTraceRay:
             trace_ray(t, 0, (0.5, 0.25), (2.0, 1.0), 2.0)
 
     def test_boundary_exit_refused(self):
-        c = sf.build_cylinder(2.0, 1.0)
+        c = fx.build_cylinder(2.0, 1.0)
         with pytest.raises(GeodesicError):
             trace_ray(c, 0, np.mean(c.chart(0), axis=0), (0.0, 1.0), 5.0)
 
@@ -113,14 +114,14 @@ class TestTorusEnumeration:
         assert not res.complete
 
     def test_open_surface_refused(self):
-        c = sf.build_cylinder(2.0, 1.0)
+        c = fx.build_cylinder(2.0, 1.0)
         with pytest.raises(GeodesicError):
             enumerate_closed_geodesics(c, 1.5)
 
 
 class TestSystole:
     def test_klein_bottle(self):
-        k = sf.build_flat_klein_bottle(1.0, 1.0)
+        k = fx.build_flat_klein_bottle(1.0, 1.0)
         res = systole(k, 1.5)
         assert res.found and res.complete
         assert res.length == pytest.approx(1.0, abs=1e-9)
@@ -137,15 +138,22 @@ class TestSystole:
         assert res.length == pytest.approx(1.0, abs=1e-9)
 
     def test_positive_curvature_refused(self):
-        co = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
-        tet = sf.surface_from_vertex_faces(
-            co, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
         with pytest.raises(GeodesicError, match="cone angle below"):
-            systole(tet, 3.0)
+            systole(fx.build_tetrahedron(), 3.0)
 
     def test_not_found_below_cutoff(self, dyck):
         res = systole(dyck, 0.5)
         assert not res.found and res.length is None and res.complete
+
+    def test_returns_the_enumeration(self):
+        t = sf.build_flat_torus(1.0, 1.3)
+        res, ref = systole(t, 1.5), enumerate_closed_geodesics(t, 1.5)
+        assert [(p.length, p.incidences) for p in res.paths] == [
+            (p.length, p.incidences) for p in ref.paths]
+        assert (res.complete, res.n_saddle_connections, res.chain_nodes) == (
+            ref.complete, ref.n_saddle_connections, ref.chain_nodes)
+        assert res.found and res.length == res.paths[0].length
+        assert res.length == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExtremalGeodesics:
@@ -360,7 +368,7 @@ class TestPointDistanceMemo:
 
 def stacked_cylinder(circ=2.0, half_height=0.5, columns=6):
     """Two cylinders glued top-to-bottom; middle circle is a mesh curve."""
-    c1 = sf.build_cylinder(circ, half_height, columns)
+    c1 = fx.build_cylinder(circ, half_height, columns)
     n = len(c1.faces)
     faces = list(c1.faces) * 2
     glu = list(c1.gluings) + [(f + n, e, f2 + n, e2, fl)
@@ -399,7 +407,7 @@ class TestDistanceFieldAndSublevel:
         outer = [(3 * j, 0) for j in range(6)]
         field = DistanceField(dyck, 0.01).solve(source_slots=outer)
         for w in weierstrass_vertices(dyck):
-            d = field.vertex_distance(w)
+            d = field.node_distance[w]
             assert d >= H - 1e-6
             assert d == pytest.approx(H, abs=2e-3)
 
@@ -407,7 +415,7 @@ class TestDistanceFieldAndSublevel:
     def test_subdivided_torus_vertex_distances(self, mesh_h):
         t = sf.subdivide(sf.build_flat_torus(1.0, 1.0))
         field = DistanceField(t, mesh_h).solve(source_vertices=[0])
-        got = sorted(field.vertex_distance(v) for v in range(t.n_vertices))
+        got = sorted(field.node_distance[:t.n_vertices].tolist())
         assert got == pytest.approx([0.0, 0.5, 0.5, math.sqrt(2) / 2],
                                     abs=1e-12)
 
@@ -491,8 +499,7 @@ class TestDistanceFieldAndSublevel:
 
     def test_read_before_solve_refused(self):
         field = DistanceField(sf.build_flat_torus(), 0.1)
-        with pytest.raises(GeodesicError):
-            field.vertex_distance(0)
+        assert field.node_distance is None
         with pytest.raises(GeodesicError):
             field.eval_points(0, np.array([[0.5, 0.2]]))
 
@@ -504,10 +511,6 @@ class TestDistanceFieldAndSublevel:
         for slot in ((len(dyck.faces), 0), (0, 3)):
             with pytest.raises(GeodesicError):
                 field.solve(source_slots=[slot])
-        field.solve(source_vertices=[0])
-        for v in (-1, dyck.n_vertices):
-            with pytest.raises(GeodesicError):
-                field.vertex_distance(v)
 
 
 @functools.cache
@@ -595,7 +598,7 @@ class TestVoronoi:
         q = dyck.vertex_of(tuple(dyck.marks["q"]))
         for target in (p, q):
             ds = [DistanceField(dyck, 0.02).solve(
-                source_vertices=[w]).vertex_distance(target) for w in W]
+                source_vertices=[w]).node_distance[target] for w in W]
             assert max(ds) - min(ds) < 5e-3
 
     def test_torus_single_cell(self):
@@ -614,8 +617,8 @@ class TestVoronoi:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: sf.build_cylinder(1.0, 0.5, 3), sf.build_collar_flat,
-    lambda: sf.build_round_annulus(1.0, 2.0)], ids=["cylinder", "collar", "annulus"])
+    lambda: fx.build_cylinder(1.0, 0.5, 3), sf.build_collar_flat,
+    lambda: fx.build_round_annulus(1.0, 2.0)], ids=["cylinder", "collar", "annulus"])
 class TestBoundedSurfacesRefused:
     """A boundary vertex's link is an interval, not a circle, so the link
     angles of the saddle search do not apply there."""

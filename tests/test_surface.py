@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures as fx
 import loop_reference as loop
 from dycksurf import surface as sf
 from dycksurf.constants import SurfaceParameters
-from dycksurf.surface import ConeSurface, CutGraph, SurfaceError
+from dycksurf.surface import ConeSurface, SurfaceError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,7 +51,7 @@ class TestConeSurfaceBasics:
 
     def test_face_angles_sum(self):
         s = ConeSurface([(2.0, 3.0, 4.0)], [])
-        assert abs(sum(s.face_angles(0)) - math.pi) < 1e-12
+        assert abs(sum(s.corner_angles[0].tolist()) - math.pi) < 1e-12
 
     def test_tables_are_read_only_and_computed_once(self, dyck):
         with pytest.raises(ValueError):
@@ -64,8 +65,8 @@ class TestConeSurfaceBasics:
 
     @pytest.mark.parametrize("build", [
         sf.build_extremal_dyck, sf.build_collar_flat,
-        lambda: sf.build_round_annulus(1.0, 2.0),
-        lambda: sf.subdivide(sf.build_flat_klein_bottle(1.0, 1.5))])
+        lambda: fx.build_round_annulus(1.0, 2.0),
+        lambda: sf.subdivide(fx.build_flat_klein_bottle(1.0, 1.5))])
     def test_tables_match_scalar_loops(self, build):
         s = build()
         F = len(s.faces)
@@ -127,14 +128,14 @@ class TestModelSurfaces:
         assert abs(t.gauss_bonnet_residual()) < 1e-9
 
     def test_klein_bottle(self):
-        k = sf.build_flat_klein_bottle()
+        k = fx.build_flat_klein_bottle()
         assert k.euler_characteristic == 0
         assert not k.orientable
         assert k.is_closed
         assert not k.cone_points()
 
     def test_klein_cover_is_torus(self):
-        k = sf.build_flat_klein_bottle()
+        k = fx.build_flat_klein_bottle()
         t = sf.orientation_double_cover(k)
         assert t.orientable
         assert t.euler_characteristic == 0
@@ -147,7 +148,7 @@ class TestModelSurfaces:
             return ConeSurface(a.faces + b.faces, a.gluings + [
                 (f + n, e, f2 + n, e2, flip) for f, e, f2, e2, flip in b.gluings])
 
-        klein, torus = sf.build_flat_klein_bottle(), sf.build_flat_torus()
+        klein, torus = fx.build_flat_klein_bottle(), sf.build_flat_torus()
         assert not union(klein, torus).orientable
         assert not union(torus, klein).orientable
         assert union(torus, sf.build_flat_torus(1.0, 2.0)).orientable
@@ -157,34 +158,37 @@ class TestModelSurfaces:
             sf.orientation_double_cover(sf.build_flat_torus())
 
     def test_cylinder(self):
-        c = sf.build_cylinder(2.0, 0.5, columns=6)
+        c = fx.build_cylinder(2.0, 0.5, columns=6)
         assert c.euler_characteristic == 0
         assert c.orientable
         assert abs(c.area - 1.0) < 1e-12
-        comps = sf.boundary_components(c)
+        comps = fx.boundary_components(c)
         assert len(comps) == 2
         for comp in comps:
             assert abs(sum(c.faces[f][e] for f, e in comp) - 2.0) < 1e-12
 
     def test_round_annulus(self):
-        a = sf.build_round_annulus(1.0, 2.0, n_theta=64, n_r=8)
+        a = fx.build_round_annulus(1.0, 2.0, n_theta=64, n_r=8)
         assert a.euler_characteristic == 0
         assert a.orientable
         assert abs(a.area - 3 * math.pi) < 0.02
-        assert len(sf.boundary_components(a)) == 2
+        assert len(fx.boundary_components(a)) == 2
         # inner vertices of a planar mesh are flat
         assert not a.cone_points(tol=1e-9)
 
-    def test_golden_klein_bottle(self):
-        k = sf.build_flat_klein_bottle()
-        loaded = ConeSurface.load_json(GOLDEN / "klein_bottle.json")
-        assert k.structurally_equal(loaded)
+    def test_golden_klein_bottle(self, tmp_path):
+        k = fx.build_flat_klein_bottle()
+        path = tmp_path / "klein.json"
+        k.save_json(path)
+        golden = GOLDEN / "klein_bottle.json"
+        assert json.loads(golden.read_text()) == json.loads(json.dumps(k.to_json_dict()))
+        assert path.read_bytes() == golden.read_bytes()
 
 
 class TestTrapezoid:
     def test_shape(self):
         p = SurfaceParameters.paper()
-        quad = sf.build_trapezoid(p)
+        quad = fx.build_trapezoid(p)
         assert quad.shape == (4, 2)
         assert abs(np.linalg.norm(quad[1] - quad[0]) - p.short_side) < 1e-12
         assert abs(np.linalg.norm(quad[2] - quad[3]) - p.long_side) < 1e-12
@@ -193,7 +197,7 @@ class TestTrapezoid:
 
     def test_base_angle(self):
         p = SurfaceParameters.paper()
-        quad = sf.build_trapezoid(p)
+        quad = fx.build_trapezoid(p)
         v1 = quad[1] - quad[0]
         v2 = quad[3] - quad[0]
         ang = math.acos(v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
@@ -271,16 +275,18 @@ class TestExtremalSurface:
         assert abs(c.area - 2 * EXTREMAL_AREA) < 1e-9
 
     def test_json_roundtrip(self, dyck, tmp_path):
+        # the written JSON reads back as to_json_dict, which holds the
+        # records and marks, and equals the golden export
         path = tmp_path / "dyck.json"
         dyck.save_json(path)
-        s2 = ConeSurface.load_json(path)
-        assert s2.structurally_equal(dyck)
-        assert s2.marks["p"] == dyck.marks["p"]
-        assert [tuple(c) for c in s2.marks["weierstrass"]] == dyck.marks["weierstrass"]
-        # a second save is byte-identical
-        path2 = tmp_path / "dyck2.json"
-        s2.save_json(path2)
-        assert path.read_bytes() == path2.read_bytes()
+        data = json.loads(path.read_text())
+        assert data == json.loads(json.dumps(dyck.to_json_dict()))
+        assert data["faces"] == [list(tri) for tri in dyck.faces]
+        assert data["gluings"] == [[f, e, f2, e2, int(flip)]
+                                   for f, e, f2, e2, flip in dyck.gluings]
+        assert data["marks"]["p"] == list(dyck.marks["p"])
+        assert [tuple(c) for c in data["marks"]["weierstrass"]] == dyck.marks["weierstrass"]
+        assert path.read_bytes() == (GOLDEN / "extremal_surface.json").read_bytes()
 
 
 class TestCutAndCollar:
@@ -290,29 +296,29 @@ class TestCutAndCollar:
         removed = [r for r in dyck.gluings if r not in cut.gluings]
         assert len(removed) == 6
         back = ConeSurface(cut.faces, cut.gluings + removed)
-        assert back.structurally_equal(dyck)
+        assert fx.structurally_equal(back, dyck)
 
     def test_cut_surface_shape(self, dyck):
         cut = sf.cut_along_graph(dyck, sf.extremal_cut_graph(dyck))
         assert cut.euler_characteristic == 0
         assert not cut.orientable
-        assert len(sf.boundary_components(cut)) == 1
+        assert len(fx.boundary_components(cut)) == 1
         bdry_len = sum(cut.faces[f][e] for f, e in cut.boundary_slots)
         # boundary doubles the three identified sides of total length 3*0.5598...
         assert abs(bdry_len - 12 * 0.2799082452921564) < 1e-9
 
     def test_cut_rejects_boundary_edge(self):
-        c = sf.build_cylinder(2.0, 0.5)
+        c = fx.build_cylinder(2.0, 0.5)
         bad = c.boundary_slots[0]
         with pytest.raises(SurfaceError):
-            sf.cut_along_graph(c, CutGraph([[bad]]))
+            sf.cut_along_graph(c, [bad])
 
     def test_collar_direct(self):
         c = sf.build_collar_flat()
         assert c.orientable
         assert c.euler_characteristic == 0
         assert abs(c.area - 2 * EXTREMAL_AREA) < 1e-9
-        assert len(sf.boundary_components(c)) == 2
+        assert len(fx.boundary_components(c)) == 2
 
     def test_collar_faces_are_two_sheets(self, dyck):
         assert sf.build_collar_flat().faces == dyck.faces * 2
@@ -321,7 +327,7 @@ class TestCutAndCollar:
         c = sf.build_collar_flat()
         labels = c.marks["boundary_labels"]
         sheets = set()
-        for comp in sf.boundary_components(c):
+        for comp in fx.boundary_components(c):
             (lbl,) = {labels[slot] for slot in comp}
             (sheet,) = {f // len(dyck.faces) for f, _ in comp}
             sheets.add((lbl, sheet))
@@ -357,14 +363,14 @@ class TestSubdivision:
         assert abs(soul_len - 1.0) < 1e-12
 
     def test_boundary_labels_follow(self):
-        c = sf.build_cylinder(2.0, 0.5)
+        c = fx.build_cylinder(2.0, 0.5)
         c2 = sf.subdivide(c)
         labels = c2.marks["boundary_labels"]
         assert len(labels) == 2 * len(c.marks["boundary_labels"])
         assert set(labels) == set(map(tuple, c2.boundary_slots))
 
     def test_repeated_subdivision(self):
-        k = sf.build_flat_klein_bottle()
+        k = fx.build_flat_klein_bottle()
         for _ in range(3):
             k = sf.subdivide(k)
         assert k.euler_characteristic == 0
@@ -375,7 +381,7 @@ class TestSubdivision:
 class TestVertexFacesBuilder:
     def test_square(self):
         coords = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        s = sf.surface_from_vertex_faces(coords, [(0, 1, 2), (0, 2, 3)])
+        s = fx.surface_from_vertex_faces(coords, [(0, 1, 2), (0, 2, 3)])
         assert s.euler_characteristic == 1
         assert abs(s.area - 1.0) < 1e-12
         assert len(s.gluings) == 1
@@ -384,7 +390,7 @@ class TestVertexFacesBuilder:
         coords = [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0)]
         faces = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]
         with pytest.raises(SurfaceError):
-            sf.surface_from_vertex_faces(coords, faces)
+            fx.surface_from_vertex_faces(coords, faces)
 
     def test_random_fans_flat(self):
         # triangle fans around an interior hub: the hub angle is exactly 2*pi
@@ -398,7 +404,7 @@ class TestVertexFacesBuilder:
                 angles.append(angles[-1] + w * scale)
             coords = [(0.0, 0.0)] + [(math.cos(a), math.sin(a)) for a in angles]
             faces = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
-            s = sf.surface_from_vertex_faces(coords, faces)
+            s = fx.surface_from_vertex_faces(coords, faces)
             assert s.euler_characteristic == 1
             assert abs(s.vertex_angles[s.vertex_of((0, 0))] - 2 * math.pi) < 1e-9
 
@@ -442,7 +448,7 @@ class TestArrayConstruction:
 
     @pytest.mark.parametrize("build", [
         sf.build_extremal_dyck, sf.build_collar_flat, shifted_klein_bottle,
-        lambda: sf.build_cylinder(2.0, 0.5)])
+        lambda: fx.build_cylinder(2.0, 0.5)])
     def test_subdivide_matches_loop(self, build):
         s = build()
         faces, gluings, marks = loop.subdivide(s)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import fixtures as fx
 import loop_reference as loop
 from dycksurf import geodesic as geo
 from dycksurf import surface as sf
@@ -67,8 +68,8 @@ def _subdivided(s, times):
     sf.build_extremal_dyck, sf.build_collar_flat,
     lambda: _subdivided(sf.build_collar_flat(), 3),
     lambda: _subdivided(sf.build_flat_torus(1.0, 1.3, 0.4), 2),
-    lambda: sf.build_round_annulus(1.0, 2.0), lambda: sf.build_cylinder(2.0, 0.5),
-    lambda: sf.build_flat_klein_bottle(1.0, 1.5),
+    lambda: fx.build_round_annulus(1.0, 2.0), lambda: fx.build_cylinder(2.0, 0.5),
+    lambda: fx.build_flat_klein_bottle(1.0, 1.5),
     lambda: klein_bottle(0.99999, 1.6 * 0.99999, 0.0),
     lambda: klein_bottle(0.8, 1.2, 1.2 * 7 / 20)],
     ids=["extremal", "collar", "collar_sub3", "torus_sub2", "annulus", "cylinder",
