@@ -114,11 +114,8 @@ def _render(report: dict, cfg: RunConfig) -> str:
         return json.dumps(report, sort_keys=True, indent=2,
                           default=_jsonable) + "\n"
     if cfg.fmt == "csv":
-        rows = report.get("constants")
-        if rows is None:
-            raise BadInput("csv format is only defined for `constants`")
         lines = ["name,value,exact_form"]
-        for r in rows:
+        for r in report["constants"]:
             exact = (r["exact_form"] or "").replace(",", ";")
             lines.append(f"{r['name']},{r['value']},{exact}")
         return "\n".join(lines) + "\n"
@@ -506,6 +503,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = build_config(args)
+        # refused before any work is done
+        if cfg.fmt == "csv" and args.command != "constants":
+            raise BadInput("csv format is only defined for `constants`")
     except (BadInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

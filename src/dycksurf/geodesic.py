@@ -33,8 +33,9 @@ SIDE_ANGLE_TOL = 1e-7
 # voronoi_cells decomposes the hexagonal annulus: faces of these regions
 # are left out
 EXCLUDED_REGIONS = ("mobius",)
-# most in-face node pairs a DistanceField builds; each pair holds about
-# 100 bytes while the graph is built
+# most in-face node pairs a DistanceField builds; the build's traced peak
+# is about 43 bytes per pair (1.02 million pairs on the flat collar at
+# mesh_h 0.005)
 MAX_FIELD_PAIRS = 10_000_000
 # most point-node distances DistanceField.eval_points and .within hold at
 # once.  Each point-node sum is the same float in any block or node subset,
@@ -761,6 +762,12 @@ class DistanceField:
     is O(mesh_h).  A graph of more than MAX_FIELD_PAIRS in-face node pairs
     is refused before it is built.
 
+    The build writes each in-face pair's key min(a, b) * n + max(a, b) and
+    chord length into two arrays of the counted size, one face slice after
+    another.  One sort of the keys puts the pairs in row-major order, a
+    minimum over each run of equal keys keeps the shortest chord, and the
+    CSR arrays are read off the sorted keys.
+
     A point of face f takes the least chart distance plus node distance
     over the face's nodes (`eval_points`).  Each sum is the same float
     whichever nodes are evaluated with it, so a subset's minimum is never
@@ -801,9 +808,12 @@ class DistanceField:
             self._slot_nodes[(f, e)] = ids
             if twin is not None:
                 self._slot_nodes[twin] = ids[::-1] if flip else ids
-        rows, cols, vals = [], [], []
+        keys = np.empty(int(pairs), dtype=np.int64)
+        lengths = np.empty(int(pairs))
+        used = 0
+        triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._face_nodes: list[tuple[np.ndarray, np.ndarray]] = []
-        for f in range(len(s.faces)):
+        for f in range(len(s.lengths)):
             ch = s.chart(f)
             ids, pos = [], []
             for e in range(3):
@@ -813,20 +823,32 @@ class DistanceField:
                 pos.append(ch[e] + frac[:, None] * (ch[(e + 1) % 3] - ch[e]))
             ids, pos = np.concatenate(ids), np.concatenate(pos)
             self._face_nodes.append((ids, pos))
-            iu, ju = np.triu_indices(len(ids), k=1)
-            rows.append(ids[iu])
-            cols.append(ids[ju])
-            vals.append(_hypot(pos[iu], pos[ju]))
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-        pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-        keep = rows != cols
-        pair, vals = pair[keep], vals[keep]
-        order = np.argsort(pair, kind="stable")
-        pair = pair[order]
-        first = np.flatnonzero(np.diff(pair, prepend=-1))
-        shortest = np.minimum.reduceat(vals[order], first)
-        self._graph = sp.csr_matrix((shortest, divmod(pair[first], n)),
-                                    shape=(n, n))
+            if len(ids) not in triu:
+                triu[len(ids)] = np.triu_indices(len(ids), k=1)
+            iu, ju = triu[len(ids)]
+            a, b = ids[iu], ids[ju]
+            key = np.minimum(a, b) * n + np.maximum(a, b)
+            chord = _hypot(pos[iu], pos[ju])
+            distinct = a != b
+            if not distinct.all():
+                key, chord = key[distinct], chord[distinct]
+            keys[used:used + len(key)] = key
+            lengths[used:used + len(key)] = chord
+            used += len(key)
+        # sorted keys run in row-major order; the shortest chord of each
+        # pair does not depend on the order of its duplicates
+        order = np.argsort(keys[:used])
+        keys = keys[order]
+        lengths = lengths[order]
+        del order
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        shortest = np.minimum.reduceat(lengths, first)
+        del lengths
+        rows, cols = divmod(keys[first], n)
+        del keys, first
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._graph = sp.csr_matrix((shortest, cols, indptr), shape=(n, n))
 
     def _vertex_node(self, v) -> int:
         if v not in range(self.surface.n_vertices):
@@ -898,18 +920,26 @@ def _hypot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _subtriangle_centroids(s: ConeSurface, f: int, m: int):
-    ch = s.chart(f)
-    v0, e1, e2 = ch[0], ch[1] - ch[0], ch[2] - ch[0]
-    a, b = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    up = a + b <= m - 1
-    ua, ub = (a[up] + 1 / 3) / m, (b[up] + 1 / 3) / m
-    dn = a + b <= m - 2
-    da, db = (a[dn] + 2 / 3) / m, (b[dn] + 2 / 3) / m
-    fa = np.concatenate([ua, da])
-    fb = np.concatenate([ub, db])
-    pts = v0[None, :] + fa[:, None] * e1[None, :] + fb[:, None] * e2[None, :]
-    return pts, s.face_area(f) / (m * m)
+def _subtriangles(s: ConeSurface, faces, mesh_h: float):
+    """(f, centroids, subtriangle area) for each face f in faces: the face
+    is cut into m * m congruent subtriangles, m = ceil(longest side / mesh_h).
+    The centroid pattern is built once per distinct m."""
+    longest = s.lengths.max(axis=1).tolist()
+    patterns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for f in faces:
+        m = max(1, math.ceil(longest[f] / mesh_h))
+        if m not in patterns:
+            a, b = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+            up = a + b <= m - 1
+            ua, ub = (a[up] + 1 / 3) / m, (b[up] + 1 / 3) / m
+            dn = a + b <= m - 2
+            da, db = (a[dn] + 2 / 3) / m, (b[dn] + 2 / 3) / m
+            patterns[m] = np.concatenate([ua, da]), np.concatenate([ub, db])
+        fa, fb = patterns[m]
+        ch = s.chart(f)
+        v0, e1, e2 = ch[0], ch[1] - ch[0], ch[2] - ch[0]
+        pts = v0[None, :] + fa[:, None] * e1[None, :] + fb[:, None] * e2[None, :]
+        yield f, pts, s.face_area(f) / (m * m)
 
 
 @dataclass
@@ -924,9 +954,7 @@ class SublevelArea:
 def _sublevel_once(s, curve_slots, r, mesh_h):
     field = DistanceField(s, mesh_h).solve(source_slots=curve_slots)
     total = 0.0
-    for f in range(len(s.faces)):
-        m = max(1, math.ceil(max(s.faces[f]) / mesh_h))
-        pts, sub_area = _subtriangle_centroids(s, f, m)
+    for f, pts, sub_area in _subtriangles(s, range(len(s.lengths)), mesh_h):
         total += sub_area * int(field.within(f, pts, r).sum())
     return total
 
@@ -978,11 +1006,9 @@ def voronoi_cells(s: ConeSurface, centers=None,
     fields = [copy.copy(field).solve(source_vertices=[v]) for v in centers]
     region = s.marks.get("region")
     cells = {v: VoronoiCell(v, 0.0, [], set()) for v in centers}
-    for f in range(len(s.faces)):
-        if region is not None and region[f] in EXCLUDED_REGIONS:
-            continue
-        m = max(1, math.ceil(max(s.faces[f]) / mesh_h))
-        pts, sub_area = _subtriangle_centroids(s, f, m)
+    faces = [f for f in range(len(s.lengths))
+             if region is None or region[f] not in EXCLUDED_REGIONS]
+    for f, pts, sub_area in _subtriangles(s, faces, mesh_h):
         d = np.stack([fl.eval_points(f, pts) for fl in fields])
         lab = d.argmin(axis=0)
         for k, v in enumerate(centers):

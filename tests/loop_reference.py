@@ -244,6 +244,50 @@ def eval_points(field, f, pts):
     return (dm + d[None, :]).min(axis=1)
 
 
+def distance_graph(s, mesh_h):
+    """DistanceField's CSR graph by per-face pair lists, one concatenation,
+    a stable sort and a COO to CSR conversion."""
+    g = s.glue_records
+    pieces = np.maximum(1.0, np.rint(s.lengths / mesh_h))
+    pieces[g[:, 2], g[:, 3]] = pieces[g[:, 0], g[:, 1]]
+    n = s.n_vertices
+    slot_nodes = {}
+    edges = [((f, e), (f2, e2), flip) for f, e, f2, e2, flip in s.gluings]
+    edges += [(slot, None, False) for slot in s.boundary_slots]
+    for (f, e), twin, flip in edges:
+        k = int(pieces[f, e])
+        ids = np.concatenate(([s.vertex_of((f, e))], np.arange(n, n + k - 1),
+                              [s.vertex_of((f, (e + 1) % 3))]))
+        n += k - 1
+        slot_nodes[(f, e)] = ids
+        if twin is not None:
+            slot_nodes[twin] = ids[::-1] if flip else ids
+    rows, cols, vals = [], [], []
+    for f in range(len(s.faces)):
+        ch = s.chart(f)
+        ids, pos = [], []
+        for e in range(3):
+            nodes = slot_nodes[(f, e)]
+            frac = np.arange(len(nodes) - 1) / (len(nodes) - 1)
+            ids.append(nodes[:-1])
+            pos.append(ch[e] + frac[:, None] * (ch[(e + 1) % 3] - ch[e]))
+        ids, pos = np.concatenate(ids), np.concatenate(pos)
+        iu, ju = np.triu_indices(len(ids), k=1)
+        rows.append(ids[iu])
+        cols.append(ids[ju])
+        vals.append(geo._hypot(pos[iu], pos[ju]))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    keep = rows != cols
+    pair, vals = pair[keep], vals[keep]
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    shortest = np.minimum.reduceat(vals[order], first)
+    return scipy.sparse.csr_matrix((shortest, divmod(pair[first], n)),
+                                   shape=(n, n))
+
+
 def direct_solve(A, b):
     """capacity.spsolve by SuperLU: x, no steps, and |b - A x| / |b|."""
     x = scipy.sparse.linalg.spsolve(A.tocsc(), b)

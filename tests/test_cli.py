@@ -10,7 +10,7 @@ import pytest
 
 import dycksurf
 import fixtures as fx
-from dycksurf import capacity, hexopt, surface
+from dycksurf import capacity, geodesic, hexopt, surface
 from dycksurf.cli import (
     BadInput,
     RunConfig,
@@ -241,6 +241,16 @@ class TestHexoptAndCapacity:
                      "--mesh-check"]) == 3
         assert "MAX_FIELD_PAIRS" in capsys.readouterr().err
 
+    def test_csv_refused_before_the_mesh_check(self, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("built a distance field")
+
+        monkeypatch.setattr(geodesic, "DistanceField", build)
+        assert main(["capacity", "upper", "--mesh-check", "--format",
+                     "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: csv format is only defined for `constants`\n"
+
     def test_capacity_certify(self, capsys):
         code, rep = run_json(capsys, "capacity", "certify")
         assert code == 0
@@ -359,6 +369,14 @@ class TestExport:
 
     def test_requires_out(self, capsys):
         assert main(["export", "surface"]) == 2
+
+    def test_csv_refused(self, tmp_path, capsys):
+        out = tmp_path / "geos.json"
+        assert main(["export", "geodesics", "--format", "csv",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: csv format is only defined for `constants`\n"
+        assert not out.exists()
 
 
 def test_cli_import_skips_scipy_integrate():

@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import loop_reference as loop
+from dycksurf import capacity
 from dycksurf import geodesic as geo
 from dycksurf import surface as sf
 from dycksurf.geodesic import (
@@ -472,9 +474,8 @@ class TestDistanceFieldAndSublevel:
         for mesh_h in (0.01, 0.005):
             field = DistanceField(c, mesh_h).solve(source_slots=soul)
             total = 0.0
-            for f in range(len(c.faces)):
-                m = max(1, math.ceil(max(c.faces[f]) / mesh_h))
-                pts, sub_area = geo._subtriangle_centroids(c, f, m)
+            for f, pts, sub_area in geo._subtriangles(
+                    c, range(len(c.faces)), mesh_h):
                 total += sub_area * int(
                     (loop.eval_points(field, f, pts) <= 0.5).sum())
             raw.append(total)
@@ -511,6 +512,54 @@ class TestDistanceFieldAndSublevel:
         for slot in ((len(dyck.faces), 0), (0, 3)):
             with pytest.raises(GeodesicError):
                 field.solve(source_slots=[slot])
+
+
+@functools.cache
+def graph_surfaces():
+    c = sf.build_collar_flat()
+    dyck = sf.build_extremal_dyck()
+    return {
+        "collar": c,
+        "extremal": dyck,
+        "subdivided": sf.subdivide(dyck),
+        # one vertex at all three corners of each face: self pairs
+        "one-vertex-torus": sf.build_flat_torus(1.0, 1.0),
+        # two faces glued along all three edges: every edge's chords lie
+        # in both faces
+        "two-face-torus": sf.build_flat_torus(1.0, 1.3, shear=0.2),
+        "fermi": capacity.fermi_chart_annulus(
+            capacity.hyperbolic_collar_profile(), 96, 24),
+    }
+
+
+class TestDistanceGraph:
+    @pytest.mark.parametrize("name, mesh_h", [
+        ("collar", 0.01), ("collar", 0.005), ("extremal", 0.05),
+        ("subdivided", 0.02), ("one-vertex-torus", 0.25),
+        ("one-vertex-torus", 2.0), ("two-face-torus", 0.1), ("fermi", 0.015)])
+    def test_graph_matches_the_per_face_build(self, name, mesh_h):
+        s = graph_surfaces()[name]
+        got = DistanceField(s, mesh_h)._graph
+        want = loop.distance_graph(s, mesh_h)
+        assert got.shape == want.shape
+        for key in ("indptr", "indices", "data"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_build_peak_memory_per_pair(self):
+        # the build's arrays, numpy buffers included, at most 64 bytes per
+        # in-face pair at their peak
+        c = sf.build_collar_flat()
+        tracemalloc.start()
+        try:
+            field = DistanceField(c, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = sum(len(ids) * (len(ids) - 1) // 2 for ids, _ in field._face_nodes)
+        assert pairs > 1_000_000
+        assert peak <= 64 * pairs
 
 
 @functools.cache
