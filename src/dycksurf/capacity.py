@@ -6,10 +6,11 @@ bound for its capacity.  The hyperbolic collar of the constant-curvature
 surface, described by its Fermi half-width profile, admits a width-integral
 lower bound: Romberg evaluates it inside the lower and upper sums of its
 monotone integrand.  An independent piecewise-linear finite element solver
-cross-checks both; it solves its stiffness system by Jacobi-preconditioned
-conjugate gradients, and since the boundary values are imposed exactly every
-iterate is admissible, so its energy stays a Rayleigh upper bound whatever
-the residual.  The separation certificate shows the two capacities straddle
+cross-checks both; it solves its stiffness system by conjugate gradients
+preconditioned with a multigrid V-cycle on the mesh's own refinement
+hierarchy, and since the boundary values are imposed exactly every iterate
+is admissible, so its energy stays a Rayleigh upper bound whatever the
+residual.  The separation certificate shows the two capacities straddle
 2.29, so the underlying conformal annuli are not equivalent.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 
 from .constants import SurfaceParameters
 from . import surface as _surface
@@ -30,9 +31,12 @@ from .geodesic import sublevel_area
 # most 4-to-1 refinements fem_capacity makes; each quadruples the faces
 MAX_REFINE = 6
 # most conjugate-gradient steps of one FEM solve (the 42 624-unknown collar
-# at mesh_h 0.015 takes 409), and the relative residual at which it stops
+# at mesh_h 0.015 takes 14), and the relative residual at which it stops
 CG_MAX_STEPS = 10_000
 CG_RTOL = 1e-12
+# multigrid coarsening stops at a level of at most this many unknowns, which
+# dense Cholesky solves
+MAX_DIRECT = 512
 
 
 class CapacityError(ValueError):
@@ -232,30 +236,147 @@ def flat_capacity_upper(p: SurfaceParameters | None = None,
 # -- finite element solver ----------------------------------------------
 
 
+def _edge_weights(s: "_surface.ConeSurface") -> tuple[np.ndarray, np.ndarray]:
+    """Ends (E, 2) and cotangent weights (E,) of the edges of s: one edge
+    per gluing record, then one per boundary slot, weighted by the sum of
+    1/2 cot of the corners opposite it (corner e + 2 of slot e).  An edge
+    from a vertex to itself carries no energy and is left out."""
+    cos = s.corner_cos
+    half_cot = 0.5 * cos / np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    g = s.glue_records
+    slots = np.concatenate([g[:, :2], np.reshape(s.boundary_slots, (-1, 2))])
+    f, e = slots.T
+    w = half_cot[f, (e + 2) % 3]
+    w[:len(g)] += half_cot[g[:, 2], (g[:, 3] + 2) % 3]
+    v = s.vertex_ids
+    ends = np.column_stack([v[f, e], v[f, (e + 1) % 3]])
+    keep = ends[:, 0] != ends[:, 1]
+    return ends[keep], w[keep]
+
+
+def _free_system(ends: np.ndarray, w: np.ndarray, is_free: np.ndarray,
+                 u: np.ndarray):
+    """Free-block stiffness CSR and right-hand side of the Dirichlet
+    problem with the held values u[~is_free], from the edge weights: each
+    edge, in each direction a -> b with a free, adds w to the diagonal at a,
+    and -w at (a, b) when b is free, else w u[b] to the right-hand side."""
+    index = np.cumsum(is_free) - 1
+    n = int(index[-1]) + 1
+    a, b = np.concatenate([ends, ends[:, ::-1]]).T
+    w = np.concatenate([w, w])
+    out = is_free[a]
+    a, b, w = index[a[out]], b[out], w[out]
+    inner = is_free[b]
+    diag = np.arange(n)
+    A = csr_matrix((np.append(-w[inner], np.bincount(a, w, n)),
+                    (np.append(a[inner], diag),
+                     np.append(index[b[inner]], diag))), shape=(n, n))
+    return A, np.bincount(a[~inner], w[~inner] * u[b[~inner]], n)
+
+
+def _prolongation(parents: np.ndarray, fine_free: np.ndarray,
+                  coarse_free: np.ndarray):
+    """CSR prolongation from the free coarse to the free fine unknowns:
+    each fine vertex takes the mean of its two coarse parents, a held parent
+    contributing zero."""
+    index = np.cumsum(coarse_free) - 1
+    p = parents[fine_free]
+    keep = coarse_free[p]
+    rows = np.broadcast_to(np.arange(len(p))[:, None], p.shape)[keep]
+    return csr_matrix((np.full(len(rows), 0.5), (rows, index[p[keep]])),
+                      shape=(len(p), int(index[-1]) + 1))
+
+
+def _l1_inverse(A) -> np.ndarray:
+    """Reciprocal row sums of |A|: the l1-Jacobi smoother's diagonal."""
+    return 1.0 / (abs(A) @ np.ones(A.shape[0]))
+
+
+class _VCycle:
+    """One symmetric multigrid V(2, 2)-cycle from zero, as a preconditioner
+    for the free block A (W. L. Briggs, V. E. Henson and S. F. McCormick,
+    A Multigrid Tutorial, 2nd ed., SIAM 2000).
+
+    `links` holds, from the finest level down, the coarse parents and the
+    corner children of each coarser level.  A coarse vertex is free exactly
+    when its corner child is, and its operator is the Galerkin product
+    P^T A P.  The smoother is l1-Jacobi, with D the row sums of |A| (A. H.
+    Baker, R. D. Falgout, T. V. Kolev and U. M. Yang, SIAM J. Sci. Comput.
+    33(5), 2011), which converges for any symmetric positive definite A, so
+    the cycle is symmetric positive definite.  Coarsening stops at a level
+    of at most MAX_DIRECT unknowns, solved by dense Cholesky; a larger
+    coarsest level, as on a mesh without a hierarchy, is only smoothed.
+    """
+
+    def __init__(self, A, is_free: np.ndarray, links) -> None:
+        self.levels = []
+        for parents, child in links:
+            coarse_free = is_free[child]
+            if A.shape[0] <= MAX_DIRECT or not coarse_free.any():
+                break
+            P = _prolongation(parents, is_free, coarse_free)
+            R = P.T.tocsr()
+            self.levels.append((A, _l1_inverse(A), P, R))
+            A, is_free = (R @ A @ P).tocsr(), coarse_free
+        self.coarse, self.factor, self.coarse_l1 = A, None, None
+        if A.shape[0] <= MAX_DIRECT:
+            try:
+                L = np.linalg.cholesky(A.toarray())
+            except np.linalg.LinAlgError:
+                raise CapacityError("coarsest multigrid operator is not "
+                                    "positive definite") from None
+            self.factor = np.linalg.inv(L)
+        else:
+            self.coarse_l1 = _l1_inverse(A)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
+        if k == len(self.levels):
+            if self.factor is not None:
+                return self.factor.T @ (self.factor @ r)
+            return _smooth(self.coarse, self.coarse_l1, r, 4)
+        A, d, P, R = self.levels[k]
+        x = _smooth(A, d, r, 2)
+        x += P @ self._cycle(k + 1, R @ (r - A @ x))
+        return _smooth(A, d, r, 2, x)
+
+
+def _smooth(A, d: np.ndarray, r: np.ndarray, sweeps: int,
+            x: np.ndarray | None = None) -> np.ndarray:
+    """`sweeps` l1-Jacobi steps x += d (r - A x), from x = 0 by default."""
+    if x is None:
+        x, sweeps = d * r, sweeps - 1
+    for _ in range(sweeps):
+        x += d * (r - A @ x)
+    return x
+
+
 # keeps the name of scipy's direct solver it replaced: the benchmark tracer
 # times the FEM solve by patching capacity.spsolve, so _fem_energy calls it
-# through this global
-def spsolve(A, b: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Solve A x = b for symmetric positive definite CSR A by
-    Jacobi-preconditioned conjugate gradients from x = 0 (Y. Saad, Iterative
-    Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, ch. 9).
+# through this global, with the V-cycle applied inside the timed solve
+def spsolve(A, b: np.ndarray, precond) -> tuple[np.ndarray, int, float]:
+    """Solve A x = b for symmetric positive definite CSR A by conjugate
+    gradients from x = 0 preconditioned by the callable precond, which maps
+    a residual r to z ~ A^-1 r (Y. Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., SIAM 2003, ch. 9).
 
     Stops once the updated residual is at most CG_RTOL |b|; returns x, the
     step count and the true relative residual |b - A x| / |b|.  A
-    non-positive diagonal, a non-finite right-hand side, a step with p.Ap
-    not finite and positive (A is not positive definite) or more than
-    CG_MAX_STEPS steps raise CapacityError.
+    non-positive diagonal, a non-finite right-hand side, a step with r.z
+    not finite and positive (the preconditioner is not positive definite)
+    or p.Ap not finite and positive (A is not positive definite), or more
+    than CG_MAX_STEPS steps raise CapacityError.
     """
-    diag = A.diagonal()
-    if not (diag > 0.0).all():
+    if not (A.diagonal() > 0.0).all():
         raise CapacityError("matrix diagonal is not positive")
-    inv_diag = 1.0 / diag
     b_norm = float(np.linalg.norm(b))
     if not math.isfinite(b_norm):
         raise CapacityError("right-hand side is not finite")
     x = np.zeros_like(b)
     r = b.copy()
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     steps = 0
@@ -264,6 +385,9 @@ def spsolve(A, b: np.ndarray) -> tuple[np.ndarray, int, float]:
             raise CapacityError(
                 f"conjugate gradients did not reach CG_RTOL={CG_RTOL} in "
                 f"CG_MAX_STEPS={CG_MAX_STEPS} steps")
+        if not 0.0 < rz < math.inf:
+            raise CapacityError(f"r.z = {rz} at step {steps + 1}: the "
+                                "preconditioner is not positive definite")
         q = A @ p
         pq = p @ q
         if not 0.0 < pq < math.inf:
@@ -272,7 +396,7 @@ def spsolve(A, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = inv_diag * r
+        z = precond(r)
         rz, rz_old = r @ z, rz
         p *= rz / rz_old
         p += z
@@ -281,33 +405,23 @@ def spsolve(A, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     return x, steps, residual
 
 
-def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float]
-                ) -> tuple[float, int, float]:
-    """Dirichlet energy of the piecewise-linear harmonic function on s with
-    the given vertex values prescribed, cotangent weights from the corner
-    cosines; also spsolve's step count and relative residual."""
-    cos = s.corner_cos
-    sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-    w = 0.5 * cos / sin
-    # corner c couples the other two corners a, b of its face; the entries
-    # keep the order faces, corners, [a, b, a, b]
-    a, b = s.vertex_ids[:, [1, 2, 0]], s.vertex_ids[:, [2, 0, 1]]
-    rows = np.stack([a, b, a, b], axis=-1).ravel()
-    cols = np.stack([a, b, b, a], axis=-1).ravel()
-    vals = np.stack([w, w, -w, -w], axis=-1).ravel()
-    n = s.n_vertices
-    K = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    u = np.zeros(n)
+def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float],
+                links: list) -> tuple[float, int, float]:
+    """Dirichlet energy sum w_e (u_a - u_b)^2 of the piecewise-linear
+    harmonic function on s with the given vertex values prescribed; also
+    spsolve's step count and relative residual."""
+    ends, w = _edge_weights(s)
+    u = np.zeros(s.n_vertices)
     held = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
     u[held] = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
-    is_free = np.ones(n, dtype=bool)
+    is_free = np.ones(len(u), dtype=bool)
     is_free[held] = False
-    free = np.flatnonzero(is_free)
     steps, residual = 0, 0.0
-    if len(free):
-        rhs = -(K @ u)[free]
-        u[free], steps, residual = spsolve(K[np.ix_(free, free)], rhs)
-    return float(u @ (K @ u)), steps, residual
+    if is_free.any():
+        A, rhs = _free_system(ends, w, is_free, u)
+        u[is_free], steps, residual = spsolve(A, rhs, _VCycle(A, is_free, links))
+    d = u[ends[:, 0]] - u[ends[:, 1]]
+    return float(w @ (d * d)), steps, residual
 
 
 def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
@@ -319,9 +433,11 @@ def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     under refinement.  Boundary values come from the two boundary labels
     in alphabetical order (first label 0, second label 1).
 
-    The system is solved by Jacobi-preconditioned conjugate gradients to a
-    relative residual of CG_RTOL within CG_MAX_STEPS steps (`spsolve`);
-    `meta` records the steps as `cg_iterations` and the final
+    The stiffness is assembled per edge.  The system is solved by conjugate
+    gradients to a relative residual of CG_RTOL within CG_MAX_STEPS steps
+    (`spsolve`), preconditioned by a multigrid V-cycle on the levels the
+    refinement built and, for a Fermi chart, on its grid halved in index
+    space; `meta` records the steps as `cg_iterations` and the final
     |b - A x| / |b| as `residual`.  The boundary values are imposed
     exactly, so any iterate is admissible and its energy is a Rayleigh
     upper bound whatever the residual.
@@ -334,11 +450,15 @@ def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     labels = s.marks.get("boundary_labels")
     if not labels:
         raise CapacityError("annulus boundary is not labeled")
+    # multigrid links, finest first: the refinement's, then the chart grid's
+    links = _chart_links(s)
     refines = 0
     while s.lengths.max() > mesh_h:
         if refines >= MAX_REFINE:
             raise CapacityError("refinement limit reached before mesh_h")
-        s = _surface.subdivide(s)
+        fine = _surface.subdivide(s)
+        links.insert(0, _surface.subdivision_parents(s, fine))
+        s = fine
         refines += 1
     labels = s.marks["boundary_labels"]
     names = sorted(set(labels.values()))
@@ -351,7 +471,7 @@ def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     for (f, e), lbl in labels.items():
         for c in (e, (e + 1) % 3):
             fixed[s.vertex_of((f, c))] = values[lbl]
-    energy, steps, residual = _fem_energy(s, fixed)
+    energy, steps, residual = _fem_energy(s, fixed, links)
     return CapacityEstimate("fem_rayleigh", energy, math.nan,
                             meta={"mesh_h": mesh_h, "refines": refines,
                                   "n_vertices": s.n_vertices,
@@ -387,24 +507,83 @@ def fermi_chart_annulus(profile: CollarProfile, n_t: int = 96,
     if min(half) <= 0:
         raise CapacityError("profile too narrow for the angular chart")
 
-    # grid point (i, j) sits at (t_i, half_i (2 j / n_s - 1)); each grid
-    # square (i, j) is split into the triangles below, by corner offsets
+    # grid point (i, j) sits at (t_i, half_i (2 j / n_s - 1))
     sigma = np.array(half)[:, None] * (2.0 * np.arange(n_s + 1) / n_s - 1.0)
     grid = np.stack(np.broadcast_arrays(np.array(ts)[:, None], sigma), axis=-1)
-    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
-    i, j = np.meshgrid(np.arange(n_t), np.arange(n_s), indexing="ij")
-    ci = (i[..., None, None] + offsets[..., 0]).reshape(-1, 3)
-    cj = (j[..., None, None] + offsets[..., 1]).reshape(-1, 3)
+    ci, cj = _chart_corners(n_t, n_s)
     # vertex ids wrap in t, so lengths come from the grid coordinates
     lengths = _surface.side_lengths(grid[ci, cj])
-    tris = (ci % n_t) * (n_s + 1) + cj
+    tris = _grid_vertex(ci, cj, n_t, n_s)
     gluings, boundary = _surface.match_vertex_edges(tris)
     # a boundary slot runs along sigma = -/+ half, at grid row j = 0 or n_s
     bottom = tris[boundary[:, 0], boundary[:, 1]] % (n_s + 1) == 0
     labels = {(f, e): "bottom" if low else "top"
               for (f, e), low in zip(boundary.tolist(), bottom.tolist())}
     return _surface.ConeSurface(lengths, gluings, name="fermi_chart",
-                                marks={"boundary_labels": labels})
+                                marks={"boundary_labels": labels,
+                                       "grid": [int(n_t), int(n_s)]})
+
+
+def _chart_corners(n_t: int, n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (i, j), each (F, 3), of the chart faces' corners, i not
+    wrapped: each grid square (i, j) is split along its (0, 0)-(1, 1)
+    diagonal into the triangles below, by corner offsets."""
+    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    i, j = np.meshgrid(np.arange(n_t), np.arange(n_s), indexing="ij")
+    ci = (i[..., None, None] + offsets[..., 0]).reshape(-1, 3)
+    cj = (j[..., None, None] + offsets[..., 1]).reshape(-1, 3)
+    return ci, cj
+
+
+def _grid_vertex(i, j, n_t: int, n_s: int):
+    """Vertex id of grid point (i, j) of the n_t x n_s chart; i wraps."""
+    return (i % n_t) * (n_s + 1) + j
+
+
+def _grid_parents(n_t: int, n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse parents (n_fine, 2) of each vertex of the n_t x n_s chart grid
+    on the half grid, and the corner child of each half-grid vertex, by grid
+    vertex id.  Every half-grid face, doubled, is a union of fine faces, so
+    its corners keep their value and its side midpoints take the mean of the
+    side's ends: exact in index space."""
+    ci, cj = _chart_corners(n_t // 2, n_s // 2)
+    coarse = _grid_vertex(ci, cj, n_t // 2, n_s // 2)
+    parents = np.empty((n_t * (n_s + 1), 2), dtype=np.intp)
+    child = np.empty(n_t // 2 * (n_s // 2 + 1), dtype=np.intp)
+    for c in range(3):
+        d = (c + 1) % 3
+        corner = _grid_vertex(2 * ci[:, c], 2 * cj[:, c], n_t, n_s)
+        parents[corner] = coarse[:, [c, c]]
+        child[coarse[:, c]] = corner
+        mid = _grid_vertex(ci[:, c] + ci[:, d], cj[:, c] + cj[:, d], n_t, n_s)
+        parents[mid] = coarse[:, [c, d]]
+    return parents, child
+
+
+def _chart_links(s: "_surface.ConeSurface") -> list:
+    """Multigrid links of a Fermi chart (`marks["grid"]`) down its grid,
+    halved while both sides are even and the half grid is one
+    fermi_chart_annulus builds; the finest link is renumbered from grid
+    vertex ids to the vertex ids of s.  No grid mark: no links."""
+    if "grid" not in s.marks:
+        return []
+    n_t, n_s = s.marks["grid"]
+    ci, cj = _chart_corners(n_t, n_s)
+    grid_ids = _grid_vertex(ci, cj, n_t, n_s)
+    if s.vertex_ids.shape != grid_ids.shape or s.n_vertices != n_t * (n_s + 1):
+        raise CapacityError(f"grid mark {[n_t, n_s]} does not match the chart")
+    to_grid = np.empty(s.n_vertices, dtype=np.intp)
+    to_grid[s.vertex_ids] = grid_ids
+    if not (to_grid[s.vertex_ids] == grid_ids).all():
+        raise CapacityError(f"grid mark {[n_t, n_s]} does not match the chart")
+    links = []
+    while n_t % 2 == n_s % 2 == 0 and n_t >= 6 and n_s >= 4:
+        links.append(_grid_parents(n_t, n_s))
+        n_t, n_s = n_t // 2, n_s // 2
+    if links:
+        parents, child = links[0]
+        links[0] = parents[to_grid], np.argsort(to_grid)[child]
+    return links
 
 
 # -- separation certificate ---------------------------------------------

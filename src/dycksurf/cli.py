@@ -29,6 +29,11 @@ EXIT_COMPUTE = 3
 EXIT_CHECK_FAILED = 4
 
 
+# most decimal digits a run may ask for; mpmath's time grows faster than
+# linearly with the precision, and 300 000 digits ran for over 300 s
+MAX_DIGITS = 10_000
+
+
 class BadInput(ValueError):
     pass
 
@@ -46,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if self.digits < 15:
             raise BadInput("digits must be at least 15")
+        if self.digits > MAX_DIGITS:
+            raise BadInput(f"digits must be at most {MAX_DIGITS}")
         for key in ("lmax", "mesh_h", "tol"):
             if not 0 < getattr(self, key) < math.inf:
                 raise BadInput(f"{key.replace('_', '-')} must be finite and positive")
@@ -66,8 +73,9 @@ _CONFIG_KEYS = {("format" if f.name == "fmt" else f.name): f.name
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
-    out = {}
+    """Flat key = value lines; '#' starts a comment.  A key set twice, in
+    either spelling of an option (mesh-h, mesh_h), is refused."""
+    out, lines = {}, {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -79,7 +87,11 @@ def load_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise BadInput(f"{path}:{ln}: unknown key {key!r}")
-            out[_CONFIG_KEYS[key]] = val
+            name = _CONFIG_KEYS[key]
+            if name in lines:
+                raise BadInput(f"{path}:{ln}: key {key!r} already set on "
+                               f"line {lines[name]}")
+            out[name], lines[name] = val, ln
     return out
 
 

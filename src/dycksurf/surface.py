@@ -516,6 +516,25 @@ def _corner_child(corner) -> Corner:
     return (4 * f + c, c)
 
 
+def subdivision_parents(coarse: ConeSurface, fine: ConeSurface
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """For fine = subdivide(coarse): the two coarse parents (n_fine, 2) of
+    each fine vertex, and the corner child (n_coarse,) of each coarse
+    vertex.  Child 4f + c keeps corner c at the parent's corner c, whose
+    parents are that vertex twice, and has at its corner c + 1 the midpoint
+    of the parent's slot c, whose parents are that slot's ends."""
+    cv = coarse.vertex_ids
+    c = np.arange(3)
+    children = fine.vertex_ids.reshape(-1, 4, 3)
+    parents = np.empty((fine.n_vertices, 2), dtype=np.intp)
+    corner = children[:, c, c]
+    parents[corner] = cv[..., None]
+    parents[children[:, c, (c + 1) % 3]] = np.stack([cv, cv[:, [1, 2, 0]]], axis=-1)
+    child = np.empty(coarse.n_vertices, dtype=np.intp)
+    child[cv] = corner
+    return parents, child
+
+
 # -- builders -----------------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 Each function is the per-face or per-record loop the array code replaced;
 the tests require the array code to give the same records, in the same
 order, and the same floats.  `direct_solve` is the sparse LU solve the
-FEM's conjugate gradients replaced; there the tests require energies that
-agree to a relative tolerance.
+FEM's conjugate gradients replaced, and `corner_stiffness` the per-corner
+assembly the edge-form one replaced; there the tests require agreement to a
+relative tolerance.
 """
 
 import math
@@ -288,8 +289,29 @@ def distance_graph(s, mesh_h):
                                    shape=(n, n))
 
 
-def direct_solve(A, b):
-    """capacity.spsolve by SuperLU: x, no steps, and |b - A x| / |b|."""
+def corner_stiffness(s):
+    """The cotangent stiffness matrix of s, assembled corner by corner from
+    the law of cosines: corner c couples the other two corners of its face
+    with weight 1/2 cot of its angle."""
+    rows, cols, vals = [], [], []
+    for f, ls in enumerate(s.faces):
+        vs = [s.vertex_of((f, c)) for c in range(3)]
+        for c in range(3):
+            adj1, adj2, opp = ls[c], ls[(c + 2) % 3], ls[(c + 1) % 3]
+            cosang = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
+            cosang = max(-1.0, min(1.0, cosang))
+            w = 0.5 * cosang / math.sqrt(max(0.0, 1.0 - cosang * cosang))
+            a, b = vs[(c + 1) % 3], vs[(c + 2) % 3]
+            rows += [a, b, a, b]
+            cols += [a, b, b, a]
+            vals += [w, w, -w, -w]
+    n = s.n_vertices
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def direct_solve(A, b, precond=None):
+    """capacity.spsolve by SuperLU, which needs no preconditioner: x, no
+    steps, and |b - A x| / |b|."""
     x = scipy.sparse.linalg.spsolve(A.tocsc(), b)
     return x, 0, float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
 

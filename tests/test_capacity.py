@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 import fixtures as fx
 import loop_reference as loop
@@ -32,6 +32,37 @@ from dycksurf.constants import SurfaceParameters
 UPPER = 2.283093046469848
 LOWER = 2.2946094708421385
 ELL = 4.397146055841872
+
+
+def _identity(r):
+    return r
+
+
+def _record_systems(monkeypatch) -> list:
+    """Solve every FEM system directly, recording its free block, right-hand
+    side and multigrid preconditioner."""
+    systems = []
+
+    def record(A, b, precond):
+        systems.append((A, b, precond))
+        return loop.direct_solve(A, b)
+
+    monkeypatch.setattr(cap, "spsolve", record)
+    return systems
+
+
+def _boundary_values(s):
+    """Vertex values, 0 on the first boundary label and 1 on the second,
+    and the free vertices."""
+    labels = s.marks["boundary_labels"]
+    names = sorted(set(labels.values()))
+    u = np.zeros(s.n_vertices)
+    free = np.ones(s.n_vertices, dtype=bool)
+    for (f, e), lbl in labels.items():
+        for c in (e, (e + 1) % 3):
+            u[s.vertex_of((f, c))] = names.index(lbl)
+            free[s.vertex_of((f, c))] = False
+    return u, np.flatnonzero(free)
 
 
 class TestGudermann:
@@ -267,33 +298,19 @@ class TestFemCapacity:
         (lambda: fx.build_round_annulus(1.0, 2.0), 0.5),
         (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12), 1.0)])
     def test_assembly_matches_corner_loop(self, build, mesh_h, monkeypatch):
-        # the per-corner law-of-cosines loop the vectorized assembly replaced
-        stiffness = []
-
-        def record(*args, **kwargs):
-            stiffness.append(coo_matrix(*args, **kwargs))
-            return stiffness[-1]
-
-        monkeypatch.setattr(cap, "coo_matrix", record)
+        # the free block and right-hand side spsolve receives, against the
+        # per-corner law-of-cosines stiffness the edge-form assembly replaced
+        systems = _record_systems(monkeypatch)
         s = build()
         est = fem_capacity(s, mesh_h=mesh_h)
         for _ in range(est.meta["refines"]):
             s = sf.subdivide(s)
-        rows, cols, vals = [], [], []
-        for f, ls in enumerate(s.faces):
-            vs = [s.vertex_of((f, c)) for c in range(3)]
-            for c in range(3):
-                adj1, adj2, opp = ls[c], ls[(c + 2) % 3], ls[(c + 1) % 3]
-                cosang = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (2 * adj1 * adj2)
-                cosang = max(-1.0, min(1.0, cosang))
-                w = 0.5 * cosang / math.sqrt(max(0.0, 1.0 - cosang * cosang))
-                a, b = vs[(c + 1) % 3], vs[(c + 2) % 3]
-                rows += [a, b, a, b]
-                cols += [a, b, b, a]
-                vals += [w, w, -w, -w]
-        (K,) = stiffness
-        assert K.row.tolist() == rows and K.col.tolist() == cols
-        assert K.data.tolist() == vals
+        u, free = _boundary_values(s)
+        K = loop.corner_stiffness(s)
+        ((A, b, _),) = systems
+        scale = abs(K).max()
+        assert abs(A - K[free][:, free]).max() <= 1e-14 * scale
+        assert np.abs(b + (K @ u)[free]).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("build, mesh_h", [
         (lambda: fx.build_cylinder(2.0, 0.5), 0.1),
@@ -315,14 +332,23 @@ class TestFemCapacity:
         # p.Ap = -12 at step 2, not a NaN or a ZeroDivisionError
         A = csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CapacityError, match="at step 2"):
-            cap.spsolve(A, np.array([1.0, 0.0]))
+            cap.spsolve(A, np.array([1.0, 0.0]), _identity)
 
     def test_bad_systems_refused(self):
         with pytest.raises(CapacityError, match="diagonal"):
             cap.spsolve(csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]])),
-                        np.array([1.0, 1.0]))
+                        np.array([1.0, 1.0]), _identity)
         with pytest.raises(CapacityError, match="not finite"):
-            cap.spsolve(csr_matrix(np.eye(2)), np.array([1.0, math.nan]))
+            cap.spsolve(csr_matrix(np.eye(2)), np.array([1.0, math.nan]),
+                        _identity)
+
+    @pytest.mark.parametrize("precond, rz", [
+        (lambda r: -r, "-1.0"), (lambda r: 0.0 * r, "0.0"),
+        (lambda r: r + math.nan, "nan")])
+    def test_indefinite_preconditioner_refused(self, precond, rz):
+        with pytest.raises(CapacityError,
+                           match=rf"r.z = {rz} at step 1: the preconditioner"):
+            cap.spsolve(csr_matrix(np.eye(2)), np.array([1.0, 0.0]), precond)
 
     def test_step_budget_refused(self, monkeypatch):
         monkeypatch.setattr(cap, "CG_MAX_STEPS", 5)
@@ -330,7 +356,8 @@ class TestFemCapacity:
             fem_capacity(sf.build_collar_flat(), mesh_h=0.06)
 
     def test_zero_right_hand_side(self):
-        x, steps, residual = cap.spsolve(csr_matrix(np.eye(3)), np.zeros(3))
+        x, steps, residual = cap.spsolve(csr_matrix(np.eye(3)), np.zeros(3),
+                                         _identity)
         assert x.tolist() == [0.0, 0.0, 0.0]
         assert (steps, residual) == (0, 0.0)
 
@@ -352,12 +379,116 @@ class TestFemCapacity:
             fem_capacity(cyl, mesh_h=math.nan)
 
 
+class TestMultigrid:
+    def test_galerkin_matches_coarse_assembly(self, monkeypatch):
+        # the P1 spaces of the subdivide levels are nested, so P^T A P is the
+        # coarse level's own free block; a misnumbered parent shows here
+        systems = _record_systems(monkeypatch)
+        collar = sf.build_collar_flat()
+        for mesh_h in (0.24, 0.12, 0.06, 0.03):
+            fem_capacity(collar, mesh_h=mesh_h)
+        *own, (_, _, vcycle) = systems
+        galerkin = [level[0] for level in vcycle.levels[1:]] + [vcycle.coarse]
+        galerkin.reverse()
+        assert len(galerkin) == 3
+        for (A, _, _), G in zip(own, galerkin):
+            assert G.shape == A.shape
+            assert abs(G - A).max() <= 1e-12 * abs(A).max()
+
+    def test_subdivision_parents(self):
+        coarse = sf.build_collar_flat()
+        fine = sf.subdivide(coarse)
+        parents, child = sf.subdivision_parents(coarse, fine)
+        assert parents.shape == (fine.n_vertices, 2)
+        assert sorted(child.tolist()) == sorted(set(child.tolist()))
+        assert parents[child].tolist() == [[v, v] for v in range(coarse.n_vertices)]
+        # the other fine vertices are the midpoints of the coarse edges
+        mid = np.delete(parents, child, axis=0)
+        edges = {tuple(sorted(e)) for e in cap._edge_weights(coarse)[0].tolist()}
+        assert len(mid) == coarse.n_edges
+        assert {tuple(sorted(p)) for p in mid.tolist()} == edges
+
+    @pytest.mark.parametrize("n_t, n_s", [(12, 4), (96, 24), (40, 6)])
+    def test_grid_parents_are_neighbours(self, n_t, n_s):
+        parents, child = cap._grid_parents(n_t, n_s)
+        half_t, half_s = n_t // 2, n_s // 2
+        i, j = np.divmod(parents, half_s + 1)
+        fi, fj = np.divmod(np.arange(n_t * (n_s + 1)), n_s + 1)
+        # each fine vertex is the mean of its parents in index space, and
+        # they are equal or joined by a grid side or a square's diagonal
+        di, dj = (i[:, 1] - i[:, 0] + 1) % half_t - 1, j[:, 1] - j[:, 0]
+        assert ((i[:, 0] + i[:, 0] + di) % n_t == fi).all()
+        assert (j.sum(axis=1) == fj).all()
+        step = {tuple(d) for d in np.column_stack([di, dj]).tolist()}
+        assert step <= {(0, 0), (1, 0), (0, 1), (1, 1),
+                        (-1, 0), (0, -1), (-1, -1)}
+        assert (parents[child] == np.arange(len(child))[:, None]).all()
+
+    @pytest.mark.parametrize("s", [
+        sf.build_collar_flat(),
+        fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12)])
+    def test_prolongation_keeps_constants(self, s):
+        fine = sf.subdivide(s)
+        links = [sf.subdivision_parents(s, fine)] + cap._chart_links(s)
+        n = fine.n_vertices
+        for parents, child in links:
+            P = cap._prolongation(parents, np.ones(n, dtype=bool),
+                                  np.ones(len(child), dtype=bool))
+            assert P.shape == (n, len(child))
+            assert (P @ np.ones(len(child))).tolist() == [1.0] * n
+            n = len(child)
+
+    def test_steps_do_not_grow_with_level(self):
+        # Jacobi-preconditioned CG roughly doubled its steps per level
+        collar = sf.build_collar_flat()
+        prof = hyperbolic_collar_profile()
+        flat = [fem_capacity(collar, mesh_h=h).meta["cg_iterations"]
+                for h in (0.06, 0.03, 0.015)]
+        chart = [fem_capacity(fermi_chart_annulus(prof, n, n // 4),
+                              mesh_h=math.inf).meta["cg_iterations"]
+                 for n in (96, 192, 384)]
+        for steps in (flat, chart):
+            assert max(steps) <= 25
+            assert steps[-1] <= steps[0] + 2
+
+    @pytest.mark.parametrize("build", [
+        # odd n_s: no grid hierarchy, 2112 unknowns, only smoothed
+        lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 96, 23),
+        # one level of 336 unknowns, solved by Cholesky
+        lambda: fx.build_round_annulus(1.0, math.e)])
+    def test_single_level_solves(self, build, monkeypatch):
+        s = build()
+        assert cap._chart_links(s) == []
+        est = fem_capacity(s, mesh_h=math.inf)
+        assert est.meta["refines"] == 0
+        assert 0 < est.meta["cg_iterations"] < cap.CG_MAX_STEPS
+        assert est.meta["residual"] <= 10 * cap.CG_RTOL
+        monkeypatch.setattr(cap, "spsolve", loop.direct_solve)
+        direct = fem_capacity(s, mesh_h=math.inf)
+        assert est.value == pytest.approx(direct.value, rel=1e-12, abs=0)
+
+    def test_indefinite_coarsest_level_refused(self):
+        A = csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(CapacityError, match="coarsest multigrid"):
+            cap._VCycle(A, np.ones(2, dtype=bool), [])
+
+    def test_mismatched_grid_mark_refused(self):
+        ann = fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12)
+        for grid in ([24, 24], [12, 48]):
+            bad = sf.ConeSurface(ann.lengths, ann.glue_records,
+                                 marks={**ann.marks, "grid": grid})
+            with pytest.raises(CapacityError, match="grid mark"):
+                fem_capacity(bad, mesh_h=math.inf)
+
+
 class TestFermiChart:
     def test_chart_is_labeled_annulus(self):
         ann = fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12)
         assert ann.euler_characteristic == 0
         labels = set(ann.marks["boundary_labels"].values())
         assert labels == {"bottom", "top"}
+        # the grid mark is plain ints, so the chart exports to JSON
+        assert json.loads(json.dumps(ann.to_json_dict()))["marks"]["grid"] == [48, 12]
 
     def test_fem_above_width_integral(self):
         ann = fermi_chart_annulus(hyperbolic_collar_profile(), 96, 24)

@@ -12,6 +12,7 @@ import dycksurf
 import fixtures as fx
 from dycksurf import capacity, geodesic, hexopt, surface
 from dycksurf.cli import (
+    MAX_DIGITS,
     BadInput,
     RunConfig,
     build_config,
@@ -86,6 +87,31 @@ class TestConfigFile:
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["--digits", "10", "constants"]) == 2
+
+    def test_digits_above_limit_refused(self, tmp_path, capsys):
+        # refused before any work: 300 000 digits ran for over 300 s
+        RunConfig(digits=MAX_DIGITS)
+        for argv in (["--digits", "300000", "constants"],
+                     ["constants", "--digits", str(MAX_DIGITS + 1)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"digits must be at most {MAX_DIGITS}" in captured.err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("digits = 300000\n")
+        assert main(["--config", str(cfgfile), "verify"]) == 2
+
+    @pytest.mark.parametrize("first, second", [
+        ("mesh-h", "mesh_h"), ("mesh_h", "mesh-h"), ("lmax", "lmax")])
+    def test_key_set_twice_refused(self, tmp_path, capsys, first, second):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{first} = 0.01\n# comment\ntol = 1e-8\n"
+                           f"{second} = 0.02\n")
+        with pytest.raises(BadInput, match=r":4: key .* already set on line 1"):
+            load_config_file(str(cfgfile))
+        assert main(["--config", str(cfgfile), "constants"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "already set on line 1" in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["lmax", "mesh-h", "tol", "perturb-h"])
