@@ -6,10 +6,12 @@ bound for its capacity.  The hyperbolic collar of the constant-curvature
 surface, described by its Fermi half-width profile, admits a width-integral
 lower bound: Romberg evaluates it inside the lower and upper sums of its
 monotone integrand.  An independent piecewise-linear finite element solver
-cross-checks both; it solves its stiffness system by conjugate gradients
-preconditioned with a multigrid V-cycle on the mesh's own refinement
-hierarchy, and since the boundary values are imposed exactly every iterate
-is admissible, so its energy stays a Rayleigh upper bound whatever the
+cross-checks both.  It refines its validated input as index arrays (corner
+cosines, gluing records, boundary slots and vertex ids), with no surface
+built per level, and solves its stiffness system by conjugate gradients
+preconditioned with a multigrid V-cycle on that refinement hierarchy;
+since the boundary values are imposed exactly every iterate is
+admissible, so its energy stays a Rayleigh upper bound whatever the
 residual.  The separation certificate shows the two capacities straddle
 2.29, so the underlying conformal annuli are not equivalent.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -236,20 +238,83 @@ def flat_capacity_upper(p: SurfaceParameters | None = None,
 # -- finite element solver ----------------------------------------------
 
 
-def _edge_weights(s: "_surface.ConeSurface") -> tuple[np.ndarray, np.ndarray]:
-    """Ends (E, 2) and cotangent weights (E,) of the edges of s: one edge
-    per gluing record, then one per boundary slot, weighted by the sum of
-    1/2 cot of the corners opposite it (corner e + 2 of slot e).  An edge
-    from a vertex to itself carries no energy and is left out."""
-    cos = s.corner_cos
+class _Level(NamedTuple):
+    """One level of the FEM mesh as index arrays: the corner cosines
+    (F, 3), the gluing records (G, 5), the boundary slots (B, 2), the
+    vertex id of each corner (F, 3) and the vertex count."""
+
+    cos: np.ndarray
+    glue: np.ndarray
+    bslots: np.ndarray
+    vids: np.ndarray
+    n: int
+
+
+def _level_of(s: "_surface.ConeSurface") -> _Level:
+    """The arrays of a validated surface, boundary slots in face order."""
+    bslots = np.array(s.boundary_slots, dtype=np.intp).reshape(-1, 2)
+    return _Level(s.corner_cos, s.glue_records, bslots, s.vertex_ids, s.n_vertices)
+
+
+def _edge_ends(lv: _Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face and slot (E,) of each edge, one per gluing record (its first
+    slot) and then one per boundary slot, and its end vertices (E, 2)."""
+    f, e = np.concatenate([lv.glue[:, :2], lv.bslots]).T
+    return f, e, np.column_stack([lv.vids[f, e], lv.vids[f, (e + 1) % 3]])
+
+
+def _refined(lv: _Level) -> tuple[_Level, tuple[np.ndarray, np.ndarray]]:
+    """The 4-to-1 subdivision of lv, its faces and records numbered as
+    surface.subdivide numbers them and its boundary slots the two halves of
+    each coarse one in turn, and its multigrid link: the coarse parents
+    (n_fine, 2) of each fine vertex and the corner child (n,) of each
+    coarse vertex.
+
+    The fine vertices are the coarse ones, 0..n-1, then one midpoint per
+    coarse edge: n + i for gluing record i and n + G + j for boundary slot
+    j.  Child 4f + c has the coarse vertex at corner c and the midpoints of
+    slots c and c + 2 at corners c + 1 and c + 2; the middle child has the
+    midpoint of slot k at corner k.  A coarse vertex is its own corner
+    child with parents (v, v); a midpoint's parents are its edge's ends.
+
+    Halving the sides scales every term of the law of cosines by a power
+    of two, so the children's cosines are the parent's, permuted for the
+    middle child, to the bit.  For the same reason each check
+    ConeSurface._validate makes on a child follows from the same check on
+    its parent: the triangle inequality and the corner cosines carry over
+    exactly, glued halves differ by half the parent's difference, and the
+    child records glue each child slot once by construction.
+    """
+    F, G, B, n = len(lv.cos), len(lv.glue), len(lv.bslots), lv.n
+    cos, glue = _surface.subdivide_arrays(lv.cos, lv.glue)
+    g = lv.glue
+    mid = np.empty((F, 3), dtype=np.intp)
+    mid[g[:, 0], g[:, 1]] = mid[g[:, 2], g[:, 3]] = n + np.arange(G)
+    mid[lv.bslots[:, 0], lv.bslots[:, 1]] = n + G + np.arange(B)
+    c = np.arange(3)
+    vids = np.empty((F, 4, 3), dtype=np.intp)
+    vids[:, c, c] = lv.vids
+    vids[:, c, (c + 1) % 3] = mid
+    vids[:, c, (c + 2) % 3] = mid[:, (c + 2) % 3]
+    vids[:, 3] = mid
+    coarse = np.arange(n)
+    parents = np.concatenate([np.column_stack([coarse, coarse]), _edge_ends(lv)[2]])
+    fine = _Level(cos, glue, _surface.half_slots(lv.bslots), vids.reshape(-1, 3),
+                  n + G + B)
+    return fine, (parents, coarse)
+
+
+def _edge_weights(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (E, 2) and cotangent weights (E,) of the edges of lv, in the
+    order of _edge_ends, each weighted by the sum of 1/2 cot of the corners
+    opposite it (corner e + 2 of slot e).  An edge from a vertex to itself
+    carries no energy and is left out."""
+    cos = lv.cos
     half_cot = 0.5 * cos / np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-    g = s.glue_records
-    slots = np.concatenate([g[:, :2], np.reshape(s.boundary_slots, (-1, 2))])
-    f, e = slots.T
+    f, e, ends = _edge_ends(lv)
     w = half_cot[f, (e + 2) % 3]
+    g = lv.glue
     w[:len(g)] += half_cot[g[:, 2], (g[:, 3] + 2) % 3]
-    v = s.vertex_ids
-    ends = np.column_stack([v[f, e], v[f, (e + 1) % 3]])
     keep = ends[:, 0] != ends[:, 1]
     return ends[keep], w[keep]
 
@@ -405,17 +470,27 @@ def spsolve(A, b: np.ndarray, precond) -> tuple[np.ndarray, int, float]:
     return x, steps, residual
 
 
-def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float],
-                links: list) -> tuple[float, int, float]:
+def _dirichlet_problem(lv: _Level, held: np.ndarray):
+    """Edge ends and weights of lv, the vertex values u with held[j] at
+    both ends of boundary slot j, and the mask of free vertices."""
+    ends, w = _edge_weights(lv)
+    f, e = lv.bslots.T
+    at = np.concatenate([lv.vids[f, e], lv.vids[f, (e + 1) % 3]])
+    held = np.concatenate([held, held])
+    u = np.zeros(lv.n)
+    u[at] = held
+    if (u[at] != held).any():
+        raise CapacityError("a vertex lies on both labeled boundaries")
+    is_free = np.ones(lv.n, dtype=bool)
+    is_free[at] = False
+    return ends, w, u, is_free
+
+
+def _fem_energy(ends: np.ndarray, w: np.ndarray, u: np.ndarray,
+                is_free: np.ndarray, links: list) -> tuple[float, int, float]:
     """Dirichlet energy sum w_e (u_a - u_b)^2 of the piecewise-linear
-    harmonic function on s with the given vertex values prescribed; also
-    spsolve's step count and relative residual."""
-    ends, w = _edge_weights(s)
-    u = np.zeros(s.n_vertices)
-    held = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
-    u[held] = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
-    is_free = np.ones(len(u), dtype=bool)
-    is_free[held] = False
+    harmonic function with the values u held off is_free; also spsolve's
+    step count and relative residual."""
     steps, residual = 0, 0.0
     if is_free.any():
         A, rhs = _free_system(ends, w, is_free, u)
@@ -427,17 +502,23 @@ def _fem_energy(s: "_surface.ConeSurface", fixed: dict[int, float],
 def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
     """Capacity of a flat annulus by the piecewise-linear Rayleigh quotient.
 
-    The mesh is refined 4-to-1, on whole arrays, until no edge exceeds
-    mesh_h, at most MAX_REFINE times (mesh_h = inf: never).  Conforming
+    The input surface is validated once, as ConeSurface does; it is then
+    refined 4-to-1 as index arrays (`_refined`), with the numbering of
+    surface.subdivide, until no edge exceeds mesh_h, at most MAX_REFINE
+    times (mesh_h = inf: never).  No refined level is built as a surface:
+    its corner cosines are carried from the parent exactly, and its vertex
+    ids and multigrid parents follow from the child numbering.  Conforming
     elements make the discrete energy an upper bound that is nonincreasing
     under refinement.  Boundary values come from the two boundary labels
-    in alphabetical order (first label 0, second label 1).
+    in alphabetical order (first label 0, second label 1); every boundary
+    slot needs a label, only boundary slots may carry one, and no vertex
+    may lie on both labeled boundaries.
 
     The stiffness is assembled per edge.  The system is solved by conjugate
     gradients to a relative residual of CG_RTOL within CG_MAX_STEPS steps
-    (`spsolve`), preconditioned by a multigrid V-cycle on the levels the
-    refinement built and, for a Fermi chart, on its grid halved in index
-    space; `meta` records the steps as `cg_iterations` and the final
+    (`spsolve`), preconditioned by a multigrid V-cycle on the refinement's
+    levels and, for a Fermi chart, on its grid halved in index space;
+    `meta` records the steps as `cg_iterations` and the final
     |b - A x| / |b| as `residual`.  The boundary values are imposed
     exactly, so any iterate is admissible and its energy is a Rayleigh
     upper bound whatever the residual.
@@ -452,29 +533,34 @@ def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:
         raise CapacityError("annulus boundary is not labeled")
     # multigrid links, finest first: the refinement's, then the chart grid's
     links = _chart_links(s)
+    level = _level_of(s)
+    # halving is exact, so this is the refined level's longest side
+    longest = float(s.lengths.max())
     refines = 0
-    while s.lengths.max() > mesh_h:
+    while longest > mesh_h:
         if refines >= MAX_REFINE:
             raise CapacityError("refinement limit reached before mesh_h")
-        fine = _surface.subdivide(s)
-        links.insert(0, _surface.subdivision_parents(s, fine))
-        s = fine
+        level, link = _refined(level)
+        links.insert(0, link)
+        longest /= 2
         refines += 1
-    labels = s.marks["boundary_labels"]
     names = sorted(set(labels.values()))
     if len(names) != 2:
         raise CapacityError(f"need exactly 2 boundary labels, got {names}")
-    values = {names[0]: 0.0, names[1]: 1.0}
     if set(s.boundary_slots) - set(labels):
         raise CapacityError("unlabeled boundary edges present")
-    fixed: dict[int, float] = {}
-    for (f, e), lbl in labels.items():
-        for c in (e, (e + 1) % 3):
-            fixed[s.vertex_of((f, c))] = values[lbl]
-    energy, steps, residual = _fem_energy(s, fixed, links)
+    if set(labels) - set(s.boundary_slots):
+        raise CapacityError("boundary labels on slots that are not boundary edges")
+    # half_slots keeps each slot's halves together, so boundary slot j of
+    # the input became fine slots j 2^refines up to (j + 1) 2^refines - 1
+    held = np.repeat([float(names.index(labels[slot])) for slot in s.boundary_slots],
+                     2 ** refines)
+    ends, w, u, is_free = _dirichlet_problem(level, held)
+    del level  # the mesh arrays are not needed during the solve
+    energy, steps, residual = _fem_energy(ends, w, u, is_free, links)
     return CapacityEstimate("fem_rayleigh", energy, math.nan,
                             meta={"mesh_h": mesh_h, "refines": refines,
-                                  "n_vertices": s.n_vertices,
+                                  "n_vertices": len(u),
                                   "cg_iterations": steps,
                                   "residual": residual})
 

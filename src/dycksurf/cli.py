@@ -29,8 +29,10 @@ EXIT_COMPUTE = 3
 EXIT_CHECK_FAILED = 4
 
 
-# most decimal digits a run may ask for; mpmath's time grows faster than
-# linearly with the precision, and 300 000 digits ran for over 300 s
+# fewest and most decimal digits a run may ask for; the fewest is the
+# default, and above the most mpmath's time grows faster than linearly with
+# the precision (300 000 digits ran for over 300 s)
+MIN_DIGITS = 15
 MAX_DIGITS = 10_000
 
 
@@ -40,7 +42,7 @@ class BadInput(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    digits: int = 15
+    digits: int = MIN_DIGITS
     lmax: float = 1.2
     mesh_h: float = 0.005
     tol: float = 1e-8
@@ -49,8 +51,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.digits < 15:
-            raise BadInput("digits must be at least 15")
+        if self.digits < MIN_DIGITS:
+            raise BadInput(f"digits must be at least {MIN_DIGITS}")
         if self.digits > MAX_DIGITS:
             raise BadInput(f"digits must be at most {MAX_DIGITS}")
         for key in ("lmax", "mesh_h", "tol"):
@@ -443,7 +445,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=sup,
                         help="flat key = value config file")
     common.add_argument("--digits", type=int, default=sup,
-                        help="decimal digits (>= 15)")
+                        help=f"decimal digits ({MIN_DIGITS} to {MAX_DIGITS})")
     common.add_argument("--lmax", type=float, default=sup,
                         help="geodesic search cutoff")
     common.add_argument("--mesh-h", dest="mesh_h", type=float, default=sup,

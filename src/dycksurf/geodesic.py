@@ -43,6 +43,10 @@ MAX_FIELD_PAIRS = 10_000_000
 # from every WITHIN_STRIDE-th node is exact
 EVAL_BLOCK = 1 << 15
 WITHIN_STRIDE = 16
+# DistanceField.covers accepts a whole face only with this margin, relative
+# to the face's chart coordinates and r, for the rounding of the points and
+# of their distances
+COVER_MARGIN = 1e-12
 # most angle gaps _successors holds at once
 SUCC_BLOCK = 1 << 12
 
@@ -896,6 +900,27 @@ class DistanceField:
         inside[rest] = self.eval_points(f, pts[rest]) <= r
         return inside
 
+    def covers(self, f: int, r: float) -> bool:
+        """Whether within(f, pts, r) holds for every centroid _subtriangles
+        puts in face f, shown without the points.
+
+        A point p of the face has |p - pos_k| <= max over the corners c of
+        |c - pos_k| for every node k, the distance to pos_k being convex, so
+        eval_points gives it at most reach_k = d_k + that maximum.  The
+        computed centroids and sums round: with u = 2^-53 and S the largest
+        absolute corner coordinate of the chart, which bounds the nodes too,
+        a computed centroid lies within 30 u S of the face, each computed
+        chart distance is off by at most 9 u S, and each sum with d_k by u
+        of its size, under 60 u (S + r) in all.  The face is accepted when
+        the least computed reach_k plus COVER_MARGIN (S + r), over 4000
+        u (S + r), is at most r, so every computed centroid distance is."""
+        ids, pos = self._face_nodes[f]
+        corners = self.surface.charts[f]
+        reach = _hypot(pos[:, None, :], corners[None, :, :]).max(axis=1)
+        reach += self._solved()[ids]
+        scale = float(np.abs(corners).max()) + r
+        return float(reach.min()) + COVER_MARGIN * scale <= r
+
 
 def _min_through(pts: np.ndarray, pos: np.ndarray, d: np.ndarray) -> np.ndarray:
     """min over nodes j of |pts - pos[j]| + d[j] for each point, in blocks of
@@ -920,14 +945,19 @@ def _hypot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def _cuts(s: ConeSurface, mesh_h: float) -> list[int]:
+    """Subtriangles per side of each face, m = ceil(longest side / mesh_h)."""
+    return [max(1, math.ceil(x / mesh_h)) for x in s.lengths.max(axis=1).tolist()]
+
+
 def _subtriangles(s: ConeSurface, faces, mesh_h: float):
     """(f, centroids, subtriangle area) for each face f in faces: the face
-    is cut into m * m congruent subtriangles, m = ceil(longest side / mesh_h).
-    The centroid pattern is built once per distinct m."""
-    longest = s.lengths.max(axis=1).tolist()
+    is cut into m * m congruent subtriangles, m from _cuts.  The centroid
+    pattern is built once per distinct m."""
+    cuts = _cuts(s, mesh_h)
     patterns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for f in faces:
-        m = max(1, math.ceil(longest[f] / mesh_h))
+        m = cuts[f]
         if m not in patterns:
             a, b = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
             up = a + b <= m - 1
@@ -953,9 +983,15 @@ class SublevelArea:
 
 def _sublevel_once(s, curve_slots, r, mesh_h):
     field = DistanceField(s, mesh_h).solve(source_slots=curve_slots)
+    cuts = _cuts(s, mesh_h)
+    # a face the field covers counts all its m * m subtriangles unbuilt
+    count = {f: m * m for f, m in enumerate(cuts) if field.covers(f, r)}
+    rest = [f for f in range(len(cuts)) if f not in count]
+    for f, pts, _ in _subtriangles(s, rest, mesh_h):
+        count[f] = int(field.within(f, pts, r).sum())
     total = 0.0
-    for f, pts, sub_area in _subtriangles(s, range(len(s.lengths)), mesh_h):
-        total += sub_area * int(field.within(f, pts, r).sum())
+    for f, m in enumerate(cuts):
+        total += s.face_area(f) / (m * m) * count[f]
     return total
 
 
@@ -967,7 +1003,8 @@ def sublevel_area(s: ConeSurface, curve_slots, r: float, mesh_h: float = 0.01,
     Each face is cut into congruent subtriangles, counted when their
     centroid is within r by DistanceField.within: exactly the count of
     eval_points(...) <= r, since a subset of nodes accepts a point only if
-    all nodes do.
+    all nodes do.  A face DistanceField.covers counts whole, with the same
+    result.
     """
     if not 0 < r < math.inf:
         raise GeodesicError("r must be finite and positive")

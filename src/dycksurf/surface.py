@@ -477,21 +477,43 @@ def _half_slot(f: int, e: int, k: int) -> Slot:
 _INNER_GLUINGS = np.array([[0, 1, 3, 2, 1], [1, 2, 3, 0, 1], [2, 0, 3, 1, 1]])
 
 
-def subdivide(s: ConeSurface) -> ConeSurface:
-    """Uniform 4-to-1 subdivision.  Face f has children 4f + c at corner c
-    and 4f + 3 in the middle; the records are the inner gluings of each
-    face in face order, then the two halves of each parent gluing."""
-    F = len(s.lengths)
-    h = s.lengths / 2
-    faces = np.stack([h, h, h, h[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
+def subdivide_arrays(rows: np.ndarray, glue_records: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-corner rows (4F, 3) and gluing records of the 4-to-1 subdivision,
+    from the parent's rows (F, 3) and records (G, 5).
+
+    Children 4f + c (c < 3) keep face f's row and the middle child 4f + 3
+    takes it as rows[:, [2, 0, 1]]; with halved side lengths for rows these
+    are the children's side lengths, and with corner cosines their corner
+    cosines.  The records are the inner gluings of each face in face order,
+    then the two halves of each parent gluing in record order."""
+    F = len(rows)
+    children = np.stack([rows, rows, rows, rows[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
     inner = _INNER_GLUINGS + (4 * np.arange(F))[:, None, None] * [1, 0, 1, 0, 0]
     # half k of parent edge (f, e) is slot e of child 4f + (e + k) % 3
-    f, e, f2, e2, flip = (c[:, None] for c in s.glue_records.T)
+    f, e, f2, e2, flip = (c[:, None] for c in glue_records.T)
     k = np.array([[0, 1]])
     k2 = np.where(flip == 1, 1 - k, k)  # a flip pairs the halves crosswise
     halves = np.stack(np.broadcast_arrays(
         4 * f + (e + k) % 3, e, 4 * f2 + (e2 + k2) % 3, e2, flip), axis=-1)
-    gluings = np.concatenate([inner.reshape(-1, 5), halves.reshape(-1, 5)])
+    return children, np.concatenate([inner.reshape(-1, 5), halves.reshape(-1, 5)])
+
+
+def half_slots(slots: np.ndarray) -> np.ndarray:
+    """Child slots (2B, 2) carrying halves 0 and 1 of each parent slot
+    (B, 2) in turn, as _half_slot gives them."""
+    f, e = (c[:, None] for c in slots.T)
+    return np.stack(np.broadcast_arrays(4 * f + (e + [0, 1]) % 3, e),
+                    axis=-1).reshape(-1, 2)
+
+
+def subdivide(s: ConeSurface) -> ConeSurface:
+    """Uniform 4-to-1 subdivision.  Face f has children 4f + c at corner c
+    and 4f + 3 in the middle, each with the parent's sides halved; the
+    records are the inner gluings of each face in face order, then the two
+    halves of each parent gluing (`subdivide_arrays`).  Marks follow the
+    children: corners to the corner child, slots to their two halves."""
+    faces, gluings = subdivide_arrays(s.lengths / 2, s.glue_records)
     marks = {}
     for k, v in s.marks.items():
         if k in ("weierstrass",):
@@ -514,25 +536,6 @@ def subdivide(s: ConeSurface) -> ConeSurface:
 def _corner_child(corner) -> Corner:
     f, c = corner
     return (4 * f + c, c)
-
-
-def subdivision_parents(coarse: ConeSurface, fine: ConeSurface
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """For fine = subdivide(coarse): the two coarse parents (n_fine, 2) of
-    each fine vertex, and the corner child (n_coarse,) of each coarse
-    vertex.  Child 4f + c keeps corner c at the parent's corner c, whose
-    parents are that vertex twice, and has at its corner c + 1 the midpoint
-    of the parent's slot c, whose parents are that slot's ends."""
-    cv = coarse.vertex_ids
-    c = np.arange(3)
-    children = fine.vertex_ids.reshape(-1, 4, 3)
-    parents = np.empty((fine.n_vertices, 2), dtype=np.intp)
-    corner = children[:, c, c]
-    parents[corner] = cv[..., None]
-    parents[children[:, c, (c + 1) % 3]] = np.stack([cv, cv[:, [1, 2, 0]]], axis=-1)
-    child = np.empty(coarse.n_vertices, dtype=np.intp)
-    child[cv] = corner
-    return parents, child
 
 
 # -- builders -----------------------------------------------------------

@@ -65,6 +65,17 @@ def _boundary_values(s):
     return u, np.flatnonzero(free)
 
 
+def _id_map(ids: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The relabeling that takes the vertex ids of each corner, ids, to the
+    reference ids, ref, of the same corner; fails unless the two induce the
+    same partition of the corners."""
+    to_ref = np.full(ids.max() + 1, -1)
+    to_ref[ids] = ref
+    assert (to_ref[ids] == ref).all()
+    assert sorted(to_ref.tolist()) == list(range(ref.max() + 1))
+    return to_ref
+
+
 class TestGudermann:
     def test_at_zero(self):
         assert gudermann(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
@@ -299,18 +310,24 @@ class TestFemCapacity:
         (lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12), 1.0)])
     def test_assembly_matches_corner_loop(self, build, mesh_h, monkeypatch):
         # the free block and right-hand side spsolve receives, against the
-        # per-corner law-of-cosines stiffness the edge-form assembly replaced
+        # per-corner law-of-cosines stiffness the edge-form assembly replaced,
+        # with the array vertex ids mapped to subdivide's corner by corner
         systems = _record_systems(monkeypatch)
         s = build()
         est = fem_capacity(s, mesh_h=mesh_h)
+        lv = cap._level_of(s)
         for _ in range(est.meta["refines"]):
-            s = sf.subdivide(s)
+            s, (lv, _) = sf.subdivide(s), cap._refined(lv)
+        to_sub = _id_map(lv.vids, s.vertex_ids)
         u, free = _boundary_values(s)
+        is_free = np.zeros(s.n_vertices, dtype=bool)
+        is_free[free] = True
+        order = to_sub[is_free[to_sub]]  # the unknowns in array order
         K = loop.corner_stiffness(s)
         ((A, b, _),) = systems
         scale = abs(K).max()
-        assert abs(A - K[free][:, free]).max() <= 1e-14 * scale
-        assert np.abs(b + (K @ u)[free]).max() <= 1e-14 * scale
+        assert abs(A - K[order][:, order]).max() <= 1e-14 * scale
+        assert np.abs(b + (K @ u)[order]).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("build, mesh_h", [
         (lambda: fx.build_cylinder(2.0, 0.5), 0.1),
@@ -371,6 +388,27 @@ class TestFemCapacity:
         with pytest.raises(CapacityError):
             fem_capacity(bare, mesh_h=0.5)
 
+    def test_labels_off_the_boundary_rejected(self):
+        # a label on a glued slot, or a vertex held at both 0 and 1, has no
+        # Dirichlet problem behind it
+        collar = sf.build_collar_flat()
+        labels = dict(collar.marks["boundary_labels"])
+        labels[tuple(collar.glue_records[0, :2].tolist())] = "top"
+        torus = sf.build_flat_torus()
+        for s in (sf.ConeSurface(collar.lengths, collar.glue_records,
+                                 marks={"boundary_labels": labels}),
+                  sf.ConeSurface(torus.lengths, torus.glue_records,
+                                 marks={"boundary_labels": {(0, 0): "bottom",
+                                                            (1, 1): "top"}})):
+            with pytest.raises(CapacityError, match="not boundary edges"):
+                fem_capacity(s, mesh_h=0.5)
+        cyl = fx.build_cylinder(2.0, 0.5)
+        mixed = {**cyl.marks["boundary_labels"], (0, 0): "top"}
+        with pytest.raises(CapacityError, match="both labeled boundaries"):
+            fem_capacity(sf.ConeSurface(cyl.lengths, cyl.glue_records,
+                                        marks={"boundary_labels": mixed}),
+                         mesh_h=0.5)
+
     def test_nan_mesh_h_rejected(self):
         # inf means never refine; NaN would stop the refinement loop at once
         cyl = fx.build_cylinder(2.0, 0.5)
@@ -397,16 +435,50 @@ class TestMultigrid:
 
     def test_subdivision_parents(self):
         coarse = sf.build_collar_flat()
-        fine = sf.subdivide(coarse)
-        parents, child = sf.subdivision_parents(coarse, fine)
-        assert parents.shape == (fine.n_vertices, 2)
+        fine, (parents, child) = cap._refined(cap._level_of(coarse))
+        assert parents.shape == (fine.n, 2)
         assert sorted(child.tolist()) == sorted(set(child.tolist()))
         assert parents[child].tolist() == [[v, v] for v in range(coarse.n_vertices)]
         # the other fine vertices are the midpoints of the coarse edges
         mid = np.delete(parents, child, axis=0)
-        edges = {tuple(sorted(e)) for e in cap._edge_weights(coarse)[0].tolist()}
+        ends = cap._edge_weights(cap._level_of(coarse))[0]
+        edges = {tuple(sorted(e)) for e in ends.tolist()}
         assert len(mid) == coarse.n_edges
         assert {tuple(sorted(p)) for p in mid.tolist()} == edges
+
+    @pytest.mark.parametrize("build", [
+        sf.build_collar_flat,
+        lambda: fx.build_cylinder(2.0, 0.5),
+        lambda: fx.build_round_annulus(1.0, 2.0),
+        lambda: fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12)])
+    def test_refinement_matches_subdivide(self, build):
+        # two array refinements against two subdivide calls: the same vertex
+        # partition, each midpoint's parents the ends of its coarse edge, and
+        # the carried cosines the law of cosines on the halved sides
+        s = build()
+        lv = cap._level_of(s)
+        coarse_map = _id_map(lv.vids, s.vertex_ids)
+        for _ in range(2):
+            fine_s, (fine, (parents, child)) = sf.subdivide(s), cap._refined(lv)
+            to_sub = _id_map(fine.vids, fine_s.vertex_ids)
+            assert fine.n == fine_s.n_vertices
+            assert fine.cos.tobytes() == fine_s.corner_cos.tobytes()
+            assert fine.glue.tolist() == fine_s.glue_records.tolist()
+            assert sorted(map(tuple, fine.bslots.tolist())) == fine_s.boundary_slots
+            from_sub = np.argsort(to_sub)
+            F = len(s.lengths)
+            for c in range(3):
+                # corner c of child 4f + c is the coarse corner (f, c), and its
+                # corner c + 1 the midpoint of the coarse slot (f, c)
+                kids = 4 * np.arange(F) + c
+                corner = from_sub[fine_s.vertex_ids[kids, c]]
+                assert (coarse_map[child[corner]] == s.vertex_ids[:, c]).all()
+                assert (parents[corner] == corner[:, None]).all()
+                mid = from_sub[fine_s.vertex_ids[kids, (c + 1) % 3]]
+                got = np.sort(coarse_map[parents[mid]], axis=1)
+                want = np.sort(s.vertex_ids[:, [c, (c + 1) % 3]], axis=1)
+                assert (got == want).all()
+            s, lv, coarse_map = fine_s, fine, to_sub
 
     @pytest.mark.parametrize("n_t, n_s", [(12, 4), (96, 24), (40, 6)])
     def test_grid_parents_are_neighbours(self, n_t, n_s):
@@ -428,9 +500,9 @@ class TestMultigrid:
         sf.build_collar_flat(),
         fermi_chart_annulus(hyperbolic_collar_profile(), 48, 12)])
     def test_prolongation_keeps_constants(self, s):
-        fine = sf.subdivide(s)
-        links = [sf.subdivision_parents(s, fine)] + cap._chart_links(s)
-        n = fine.n_vertices
+        fine, link = cap._refined(cap._level_of(s))
+        links = [link] + cap._chart_links(s)
+        n = fine.n
         for parents, child in links:
             P = cap._prolongation(parents, np.ones(n, dtype=bool),
                                   np.ones(len(child), dtype=bool))

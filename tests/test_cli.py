@@ -13,6 +13,7 @@ import fixtures as fx
 from dycksurf import capacity, geodesic, hexopt, surface
 from dycksurf.cli import (
     MAX_DIGITS,
+    MIN_DIGITS,
     BadInput,
     RunConfig,
     build_config,
@@ -100,6 +101,17 @@ class TestConfigFile:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("digits = 300000\n")
         assert main(["--config", str(cfgfile), "verify"]) == 2
+
+    def test_digits_help_states_both_limits(self, capsys):
+        # the limits RunConfig enforces, as the help states them
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"decimal digits ({MIN_DIGITS} to {MAX_DIGITS})" in help_text
+        RunConfig(digits=MIN_DIGITS)
+        for digits in (MIN_DIGITS - 1, MAX_DIGITS + 1):
+            with pytest.raises(BadInput):
+                RunConfig(digits=digits)
 
     @pytest.mark.parametrize("first, second", [
         ("mesh-h", "mesh_h"), ("mesh_h", "mesh-h"), ("lmax", "lmax")])

@@ -629,6 +629,44 @@ class TestWithin:
             field.within(0, np.array([[0.5, 0.2]]), 0.3)
 
 
+def _soul_case(s, r, mesh_h):
+    return s, [tuple(sl) for sl in s.marks["soul"]], r, mesh_h
+
+
+def _scaled_collar():
+    c = sf.build_collar_flat()
+    return sf.ConeSurface(c.lengths * 1e6, c.glue_records, marks=c.marks)
+
+
+class TestCovers:
+    """A face DistanceField.covers has every centroid within r."""
+
+    @pytest.mark.parametrize("case, covered", [
+        (lambda: _soul_case(sf.build_collar_flat(), 0.5, 0.01), 48),
+        (lambda: _soul_case(sf.build_collar_flat(), 0.5, 0.005), 48),
+        (lambda: _soul_case(sf.build_extremal_dyck(), 0.05, 0.02), 0),
+        (lambda: _soul_case(sf.build_extremal_dyck(), 0.2, 0.02), 6),
+        (lambda: _soul_case(sf.build_extremal_dyck(), 0.5, 0.02), 24),
+        (lambda: _soul_case(_scaled_collar(), 0.5e6, 0.005e6), 48)])
+    def test_count_matches_within(self, case, covered):
+        s, soul, r, mesh_h = case()
+        field = DistanceField(s, mesh_h).solve(source_slots=soul)
+        total, faces = 0.0, 0
+        for f, pts, sub_area in geo._subtriangles(s, range(len(s.faces)), mesh_h):
+            inside = int(field.within(f, pts, r).sum())
+            if field.covers(f, r):
+                faces += 1
+                assert inside == len(pts)
+                # the margin: no face is accepted at its least reach itself
+                ids, pos = field._face_nodes[f]
+                reach = np.linalg.norm(pos[:, None, :] - s.charts[f][None, :, :],
+                                       axis=-1).max(axis=1) + field.node_distance[ids]
+                assert not field.covers(f, float(reach.min()))
+            total += sub_area * inside
+        assert faces == covered
+        assert geo._sublevel_once(s, soul, r, mesh_h) == total
+
+
 class TestVoronoi:
     def test_three_equal_cells(self, dyck):
         cells = voronoi_cells(dyck, mesh_h=0.02)
