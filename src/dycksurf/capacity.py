@@ -145,7 +145,7 @@ def _romberg(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             row.append(row[-1] + (row[-1] - prev) / (4 ** (m + 1) - 1))
         rows.append(row)
         change = abs(row[-1] - rows[-2][-1])
-        if k > 3 and change < tol / 4.0:
+        if k > 3 and change <= tol / 4.0:
             return row[-1], change
     raise CapacityError("quadrature failed to converge")
 
@@ -385,12 +385,7 @@ class _VCycle:
             A, is_free = (R @ A @ P).tocsr(), coarse_free
         self.coarse, self.factor, self.coarse_l1 = A, None, None
         if A.shape[0] <= MAX_DIRECT:
-            try:
-                L = np.linalg.cholesky(A.toarray())
-            except np.linalg.LinAlgError:
-                raise CapacityError("coarsest multigrid operator is not "
-                                    "positive definite") from None
-            self.factor = np.linalg.inv(L)
+            self.factor = _inverse_cholesky(A.toarray())
         else:
             self.coarse_l1 = _l1_inverse(A)
 
@@ -400,12 +395,36 @@ class _VCycle:
     def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
         if k == len(self.levels):
             if self.factor is not None:
-                return self.factor.T @ (self.factor @ r)
+                return np.einsum("ji,j->i", self.factor,
+                                 np.einsum("ij,j->i", self.factor, r))
             return _smooth(self.coarse, self.coarse_l1, r, 4)
         A, d, P, R = self.levels[k]
         x = _smooth(A, d, r, 2)
         x += P @ self._cycle(k + 1, R @ (r - A @ x))
         return _smooth(A, d, r, 2, x)
+
+
+def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of the dense symmetric matrix A, so
+    A^-1 = L^-T L^-1.  Row reduction of [A | I]: scaling row j by the root
+    of its pivot makes its left part row j of L^T, whose entries past the
+    diagonal clear column j below it, and leaves [L^T | L^-1].  The
+    arithmetic is elementwise, so it rounds the same for any thread count,
+    unlike LAPACK's blocked factorization; a pivot that is not finite and
+    positive, that is an A that is not positive definite, raises
+    CapacityError."""
+    n = len(A)
+    M = np.hstack([A, np.eye(n)])
+    for j in range(n):
+        pivot = M[j, j]
+        if not 0.0 < pivot < math.inf:
+            raise CapacityError("coarsest multigrid operator is not "
+                                "positive definite")
+        M[j] /= math.sqrt(pivot)
+        # past column j, rows below j hold nonzeros only up to column n + j
+        band = slice(j + 1, n + j + 1)
+        M[j + 1:, band] -= M[j, j + 1:n, None] * M[j, band]
+    return M[:, n:]
 
 
 def _smooth(A, d: np.ndarray, r: np.ndarray, sweeps: int,
@@ -416,6 +435,13 @@ def _smooth(A, d: np.ndarray, r: np.ndarray, sweeps: int,
     for _ in range(sweeps):
         x += d * (r - A @ x)
     return x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's pairwise summation.  BLAS dot products split
+    long vectors over threads and sum the parts in a thread-dependent
+    order; this sum rounds the same for any thread count."""
+    return float(np.add.reduce(a * b))
 
 
 # keeps the name of scipy's direct solver it replaced: the benchmark tracer
@@ -436,16 +462,16 @@ def spsolve(A, b: np.ndarray, precond) -> tuple[np.ndarray, int, float]:
     """
     if not (A.diagonal() > 0.0).all():
         raise CapacityError("matrix diagonal is not positive")
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(_dot(b, b))
     if not math.isfinite(b_norm):
         raise CapacityError("right-hand side is not finite")
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
     steps = 0
-    while np.linalg.norm(r) > CG_RTOL * b_norm:
+    while math.sqrt(_dot(r, r)) > CG_RTOL * b_norm:
         if steps == CG_MAX_STEPS:
             raise CapacityError(
                 f"conjugate gradients did not reach CG_RTOL={CG_RTOL} in "
@@ -454,7 +480,7 @@ def spsolve(A, b: np.ndarray, precond) -> tuple[np.ndarray, int, float]:
             raise CapacityError(f"r.z = {rz} at step {steps + 1}: the "
                                 "preconditioner is not positive definite")
         q = A @ p
-        pq = p @ q
+        pq = _dot(p, q)
         if not 0.0 < pq < math.inf:
             raise CapacityError(f"p.Ap = {pq} at step {steps + 1}: the "
                                 "matrix is not positive definite")
@@ -462,11 +488,12 @@ def spsolve(A, b: np.ndarray, precond) -> tuple[np.ndarray, int, float]:
         x += alpha * p
         r -= alpha * q
         z = precond(r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = _dot(r, z), rz
         p *= rz / rz_old
         p += z
         steps += 1
-    residual = float(np.linalg.norm(b - A @ x)) / b_norm if b_norm else 0.0
+    e = b - A @ x
+    residual = math.sqrt(_dot(e, e)) / b_norm if b_norm else 0.0
     return x, steps, residual
 
 
@@ -496,7 +523,7 @@ def _fem_energy(ends: np.ndarray, w: np.ndarray, u: np.ndarray,
         A, rhs = _free_system(ends, w, is_free, u)
         u[is_free], steps, residual = spsolve(A, rhs, _VCycle(A, is_free, links))
     d = u[ends[:, 0]] - u[ends[:, 1]]
-    return float(w @ (d * d)), steps, residual
+    return _dot(w, d * d), steps, residual
 
 
 def fem_capacity(annulus, mesh_h: float = 0.02) -> CapacityEstimate:

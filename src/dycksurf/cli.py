@@ -243,7 +243,8 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
                           "error_estimate": est.error_estimate,
                           "bracket": est.meta["bracket"]}
     elif target == "fem":
-        flat, hyp = capacity.collar_fem_pair(mesh_h=max(cfg.mesh_h, 0.06))
+        # the FEM meshes on its own scale; --mesh-h sizes distance fields
+        flat, hyp = capacity.collar_fem_pair()
         report["fem"] = {"flat_collar": flat.value,
                         "hyperbolic_chart": hyp.value}
     else:  # certify

@@ -18,7 +18,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, cycle, pairwise
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +43,8 @@ MAX_FIELD_PAIRS = 10_000_000
 # from every WITHIN_STRIDE-th node is exact
 EVAL_BLOCK = 1 << 15
 WITHIN_STRIDE = 16
+# about the most chords the DistanceField build computes at once
+GRAPH_BLOCK = 1 << 16
 # DistanceField.covers accepts a whole face only with this margin, relative
 # to the face's chart coordinates and r, for the rounding of the points and
 # of their distances
@@ -766,11 +768,18 @@ class DistanceField:
     is O(mesh_h).  A graph of more than MAX_FIELD_PAIRS in-face node pairs
     is refused before it is built.
 
-    The build writes each in-face pair's key min(a, b) * n + max(a, b) and
-    chord length into two arrays of the counted size, one face slice after
-    another.  One sort of the keys puts the pairs in row-major order, a
-    minimum over each run of equal keys keeps the shortest chord, and the
-    CSR arrays are read off the sorted keys.
+    The build writes the CSR arrays in row order without sorting the
+    pairs.  A node's row holds the nodes of larger id in the faces it lies
+    in.  The rows of a vertex form a group, and so do the rows of an
+    edge's interior nodes, which lie in the same faces, the edge's.  A
+    group's columns are the distinct nodes, from its first row on, of the
+    faces where its first row lies: with u of them, row first + i holds the
+    last u - i - 1, so the counts give indptr.  One stable sort ranks the
+    groups' columns, a few hundred per edge.  Each face node then meets the
+    nodes of its face past it, and each chord goes to its entry by its
+    column's rank, in blocks of GRAPH_BLOCK chords; an entry keeps the
+    shortest of its chords, as where a pair lies in two faces or twice in
+    one.
 
     A point of face f takes the least chart distance plus node distance
     over the face's nodes (`eval_points`).  Each sum is the same float
@@ -786,11 +795,13 @@ class DistanceField:
         if not 0 < mesh_h < math.inf:
             raise GeodesicError("mesh_h must be finite and positive")
         # pieces per slot, as round() gives them; a glued slot takes the
-        # count of the record's first slot
+        # count of the record's first slot.  Slot (f, e) is entry 3 f + e
+        # of the per-slot arrays
         g = s.glue_records
+        first, twin = (3 * g[:, 0:4:2] + g[:, 1:4:2]).T
         with np.errstate(over="ignore"):  # infinite counts fail the limit
             pieces = np.maximum(1.0, np.rint(s.lengths / mesh_h))
-            pieces[g[:, 2], g[:, 3]] = pieces[g[:, 0], g[:, 1]]
+            pieces.ravel()[twin] = pieces.ravel()[first]
             per_face = pieces.sum(axis=1)
             pairs = float((per_face * (per_face - 1) / 2).sum())
         if pairs > MAX_FIELD_PAIRS:
@@ -800,59 +811,116 @@ class DistanceField:
         self.surface = s
         self.mesh_h = mesh_h
         self.node_distance: np.ndarray | None = None
-        n = s.n_vertices
-        self._slot_nodes: dict[Slot, np.ndarray] = {}
-        edges = [((f, e), (f2, e2), flip) for f, e, f2, e2, flip in s.gluings]
-        edges += [(slot, None, False) for slot in s.boundary_slots]
-        for (f, e), twin, flip in edges:
-            k = int(pieces[f, e])
-            ids = np.concatenate(([s.vertex_of((f, e))], np.arange(n, n + k - 1),
-                                  [s.vertex_of((f, (e + 1) % 3))]))
-            n += k - 1
-            self._slot_nodes[(f, e)] = ids
-            if twin is not None:
-                self._slot_nodes[twin] = ids[::-1] if flip else ids
-        keys = np.empty(int(pairs), dtype=np.int64)
-        lengths = np.empty(int(pairs))
-        used = 0
-        triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._face_nodes: list[tuple[np.ndarray, np.ndarray]] = []
-        for f in range(len(s.lengths)):
-            ch = s.chart(f)
-            ids, pos = [], []
-            for e in range(3):
-                nodes = self._slot_nodes[(f, e)]
-                frac = np.arange(len(nodes) - 1) / (len(nodes) - 1)
-                ids.append(nodes[:-1])
-                pos.append(ch[e] + frac[:, None] * (ch[(e + 1) % 3] - ch[e]))
-            ids, pos = np.concatenate(ids), np.concatenate(pos)
-            self._face_nodes.append((ids, pos))
-            if len(ids) not in triu:
-                triu[len(ids)] = np.triu_indices(len(ids), k=1)
-            iu, ju = triu[len(ids)]
-            a, b = ids[iu], ids[ju]
-            key = np.minimum(a, b) * n + np.maximum(a, b)
-            chord = _hypot(pos[iu], pos[ju])
-            distinct = a != b
-            if not distinct.all():
-                key, chord = key[distinct], chord[distinct]
-            keys[used:used + len(key)] = key
-            lengths[used:used + len(key)] = chord
-            used += len(key)
-        # sorted keys run in row-major order; the shortest chord of each
-        # pair does not depend on the order of its duplicates
-        order = np.argsort(keys[:used])
-        keys = keys[order]
-        lengths = lengths[order]
-        del order
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        shortest = np.minimum.reduceat(lengths, first)
-        del lengths
-        rows, cols = divmod(keys[first], n)
-        del keys, first
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self._graph = sp.csr_matrix((shortest, cols, indptr), shape=(n, n))
+        V = s.n_vertices
+        k = pieces.ravel().astype(np.int64)
+        vid = s.vertex_ids.ravel()
+        face = np.arange(len(k)) // 3
+        free = np.ones(len(k), dtype=bool)
+        free[first] = free[twin] = False
+        # edge j, the gluings' first slots and then the boundary slots, has
+        # the interior nodes start[j] ... start[j] + k - 2
+        edge = np.concatenate([first, free.nonzero()[0]])
+        inner = k[edge] - 1
+        start = inner.cumsum()
+        n = V + int(start[-1])
+        start += V - inner
+        # slot node 0 < t < k is sstart - 1 + t, or sstart + k - 1 - t on
+        # the twin of a flip=True gluing
+        sstart = np.empty(len(k), dtype=np.int64)
+        sstart[edge] = start
+        sstart[twin] = start[:len(g)]
+        rev = np.zeros(len(k), dtype=np.int64)
+        rev[twin] = g[:, 4]
+        sign = 1 - 2 * rev
+        # the face nodes: each slot's nodes but its last, at their chart
+        # positions; slot (f, e) holds entries so ... so + k - 1 of occ and
+        # pos, face f the entries of its three slots
+        stop = k.cumsum()
+        so = stop - k
+        t = np.arange(stop[-1]) - so.repeat(k)
+        occ = (sstart - 1 + rev * k).repeat(k) + sign.repeat(k) * t
+        occ[so] = vid
+        corner = s.charts.reshape(-1, 2)
+        along = s.charts[:, [1, 2, 0]].reshape(-1, 2) - corner
+        pos = (corner.repeat(k, axis=0)
+               + (t / k.repeat(k))[:, None] * along.repeat(k, axis=0))
+        self._face_nodes: list[tuple[np.ndarray, np.ndarray]] = [
+            (occ[a:b], pos[a:b]) for a, b in zip(so[::3].tolist(),
+                                                 stop[2::3].tolist())]
+        # occ with each face's corner 0 after its nodes: slot (f, e) holds
+        # its k + 1 nodes, corner e to corner e + 1, from so + f on
+        on_face = face.repeat(k)
+        ext = np.empty(len(occ) + len(k) // 3, dtype=np.int64)
+        ext[np.arange(len(occ)) + on_face] = occ
+        ext[stop[2::3] + face[::3]] = vid[::3]
+        at = (so + face).tolist()
+        self._slot_nodes: dict[Slot, np.ndarray] = {
+            (f, e): ext[a:a + m] for f, e, a, m in zip(
+                face.tolist(), cycle((0, 1, 2)), at, (k + 1).tolist())}
+        # each face node's row holds the nodes of its face with larger ids.
+        # The rows of a vertex, or of an edge's interior nodes, form a group
+        # whose first row is the vertex or the edge's start node.  A side,
+        # an occurrence of a group's first row, offers the nodes of its face
+        # from there on; the u distinct ones over the group's sides are the
+        # group's columns, and its row first + i holds the last u - i - 1
+        key = on_face * n + occ
+        by_id = key.argsort(kind="stable")
+        skey = key[by_id]
+        grp = sstart.repeat(k)
+        grp[so] = vid
+        i = occ - grp
+        first_row = i == 0
+        side_at = np.flatnonzero(first_row)
+        fend = stop[2::3][on_face]
+        lo = skey.searchsorted(key[side_at])
+        slen = fend[side_at] - lo
+        # side j's candidates are entries soff[j] ... soff[j] + slen[j] - 1
+        soff = slen.cumsum() - slen
+        cand = by_id[np.arange(soff[-1] + slen[-1]) + (lo - soff).repeat(slen)]
+        # positions as complex numbers: a difference is the same two floats
+        cpos = pos.view(np.complex128).ravel()
+        spos = cpos[cand]
+        scol = occ[cand]
+        # each candidate's rank among the distinct candidates of its group
+        group = occ[side_at]
+        ukey, rank = _distinct(group.repeat(slen) * n + scol)
+        rank -= ukey.searchsorted(group * n).repeat(slen)
+        del cand
+        # the groups' first rows in order, then n
+        gs = np.concatenate([np.arange(V), start[inner > 0], [n]])
+        lim = ukey.searchsorted(gs * n)
+        last = lim[1:] - lim[:-1] - 1 + gs[:-1]
+        # MAX_FIELD_PAIRS keeps ids and entries below 2**31, where scipy
+        # indexes by int32
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        (last.repeat(gs[1:] - gs[:-1]) - np.arange(n)).cumsum(out=indptr[1:])
+        nnz = int(indptr[-1])
+        # every face node against the nodes of its face past it, ranked by
+        # its group's side in its face: a corner is its own, an interior
+        # node takes its slot's first interior node, the last side before
+        # it, or the next one on a reversed twin; in blocks of about
+        # GRAPH_BLOCK chords, an entry keeps its shortest chord
+        side = first_row.cumsum() - 1 + rev.repeat(k) * (i > 0)
+        hi = skey.searchsorted(key, side="right")
+        count = fend - hi
+        end = count.cumsum()
+        begin = end - count
+        shift = (soff - lo)[side] + hi - begin
+        out0 = indptr[occ] - i - 1
+        del grp, side, hi, i
+        data = np.full(nnz, np.inf)
+        indices = np.empty(nnz, dtype=np.int32)
+        scol = scol.astype(np.int32)
+        cuts = begin.searchsorted(np.arange(0, end[-1], GRAPH_BLOCK))
+        for a, b in pairwise(cuts.tolist() + [len(end)]):
+            if a < b:
+                c = count[a:b]
+                j = np.arange(begin[a], end[b - 1]) + shift[a:b].repeat(c)
+                out = out0[a:b].repeat(c) + rank[j]
+                d = cpos[a:b].repeat(c) - spos[j]
+                np.minimum.at(data, out, _norm(d.real, d.imag))
+                indices[out] = scol[j]
+        self._graph = sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def _vertex_node(self, v) -> int:
         if v not in range(self.surface.n_vertices):
@@ -934,11 +1002,29 @@ def _min_through(pts: np.ndarray, pos: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True): the distinct keys in order and
+    the index of each key among them.  A stable sort, which finds the
+    sorted runs in keys, and without np.unique's fixed cost."""
+    perm = keys.argsort(kind="stable")
+    keys = keys[perm]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    index = np.empty(len(keys), dtype=np.int64)
+    index[perm] = new.cumsum()
+    index -= 1
+    return keys[new], index
+
+
 def _hypot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Distances between broadcast 2-D points p and q; the same floats as
     np.linalg.norm(p - q, axis=-1), without its (..., 2) temporary."""
-    dx = p[..., 0] - q[..., 0]
-    dy = p[..., 1] - q[..., 1]
+    return _norm(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+
+
+def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx * dx + dy * dy), computed in dx and dy."""
     dx *= dx
     dy *= dy
     dx += dy

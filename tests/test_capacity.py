@@ -233,6 +233,13 @@ class TestMuetzelBound:
         assert lo <= exact <= hi
         assert est.value == pytest.approx(exact, abs=1e-9)
 
+    def test_underflowing_tol_converges(self):
+        # tol / 4 rounds to 0: only an exact Romberg agreement meets it,
+        # where a strict comparison ran all 21 levels and then failed
+        est = muetzel_bound(hyperbolic_collar_profile(), tol=5e-324)
+        lo, hi = est.meta["bracket"]
+        assert est.error_estimate == 0.0 and lo <= est.value <= hi
+
     def test_value_outside_bracket_refused(self, monkeypatch):
         monkeypatch.setattr(cap, "_romberg", lambda *args: (1.0, 0.0))
         with pytest.raises(CapacityError, match="bracket"):

@@ -1,12 +1,17 @@
 import functools
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dycksurf
 import fixtures as fx
@@ -303,6 +308,19 @@ class TestHexoptAndCapacity:
             "flat_collar": cert["separation"]["fem_flat"],
             "hyperbolic_chart": cert["separation"]["fem_hyperbolic"]}
 
+    def test_capacity_fem_ignores_mesh_h(self, capsys):
+        # --mesh-h sizes distance fields; both FEM routes refine the flat
+        # collar to the certificate's own 0.06
+        code, rep = run_json(capsys, "--mesh-h", "0.1", "capacity", "fem")
+        assert code == 0
+        code, cert = run_json(capsys, "--mesh-h", "0.1", "capacity",
+                              "certify", "--fem")
+        assert code == 0
+        assert rep["fem"] == {
+            "flat_collar": cert["separation"]["fem_flat"],
+            "hyperbolic_chart": cert["separation"]["fem_hyperbolic"]}
+        assert run_json(capsys, "capacity", "fem")[1]["fem"] == rep["fem"]
+
     def test_capacity_certify_failed_separation(self, capsys, monkeypatch):
         # margins 0.0069 and 0.0046 do not clear a 0.01 tolerance
         monkeypatch.setattr(capacity, "separation_certificate", functools.partial(
@@ -445,3 +463,105 @@ print(*counts)
                          env={**os.environ, "PYTHONPATH": src}).stdout
     before, first, second = map(int, out.split())
     assert before == 0 and first > 0 and second == first
+
+
+def test_fem_digits_do_not_depend_on_blas_threads():
+    # threaded BLAS reductions sum in an order set by the thread count; the
+    # FEM's printed digits must not follow it
+    src = os.path.dirname(os.path.dirname(dycksurf.__file__))
+    code = """
+import contextlib, io
+from dycksurf import capacity, cli, surface
+rung = capacity.fem_capacity(surface.build_collar_flat(), mesh_h=0.015)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["capacity", "certify", "--fem"])
+print(rung.value.hex(), code)
+print(out.getvalue(), end="")
+"""
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[key] = threads
+        outs.append(subprocess.run([sys.executable, "-c", code], check=True,
+                                   capture_output=True, text=True,
+                                   env=env).stdout)
+    assert outs[0].split("\n", 1)[0].endswith(" 0")
+    assert outs[0] == outs[1]
+
+
+# commands that finish in milliseconds whatever the flags, and commands
+# whose run time grows with --lmax, --budget or a small --mesh-h
+CHEAP_COMMANDS = [["constants"], ["build"], ["hexopt"], ["capacity", "lower"],
+                  ["capacity", "upper"], ["capacity", "fem"],
+                  ["capacity", "certify"], ["capacity", "certify", "--fem"]]
+COSTLY_COMMANDS = [["systole"], ["verify"], ["certify"],
+                   ["capacity", "upper", "--mesh-check"],
+                   ["export", "geodesics"]]
+FLOAT_TEXT = st.sampled_from(["1", "0.5", "1e-3", "0", "-0.0", "-1", "5e-324",
+                              "1e-300", "1e308", "1e309", "nan", "inf",
+                              "-inf"]) | st.floats().map(repr)
+# valid digits stay small: MAX_DIGITS digits take about a second
+INT_TEXT = (st.integers(MIN_DIGITS - 3, 200)
+            | st.sampled_from([0, -1, MAX_DIGITS + 1, 10**30])).map(str)
+OPTIONS = {"lmax": FLOAT_TEXT, "mesh-h": FLOAT_TEXT, "tol": FLOAT_TEXT,
+           "digits": INT_TEXT, "budget": INT_TEXT}
+# each is refused before any work
+REFUSALS = ["--digits=14", f"--digits={MAX_DIGITS + 1}", "--lmax=0",
+            "--mesh-h=-1", "--tol=nan", "--budget=0", "--format=csv"]
+CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(["lmax", "mesh-h", "mesh_h", "tol", "digits",
+                               "budget", "seed", "fmt"]),
+              FLOAT_TEXT | INT_TEXT | st.text("abxyz .-+", max_size=6)
+              ).map(" = ".join),
+    st.sampled_from(["", "# a comment", "lmax", "= 1"]),
+    st.text(st.characters(blacklist_categories=["Cc", "Cs"]), max_size=12))
+
+
+@st.composite
+def invocations(draw):
+    """argv for main and the output format it asks for."""
+    costly = draw(st.booleans())
+    argv = list(draw(st.sampled_from(COSTLY_COMMANDS if costly
+                                     else CHEAP_COMMANDS)))
+    for key in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=4)):
+        argv.append(f"--{key}={draw(OPTIONS[key])}")
+    fmt = draw(st.sampled_from([None, "json", "text", "csv"]))
+    if fmt:
+        argv.append(f"--format={fmt}")
+    if costly:
+        argv.append(draw(st.sampled_from(REFUSALS)))
+    config = draw(st.none() | st.lists(CONFIG_LINE, max_size=5))
+    if argv[-1] == "--format=csv":
+        fmt = "csv"
+    return argv, fmt or "json", config, costly
+
+
+class TestInputContract:
+    """Bad input exits 2 with one line on stderr, never a traceback."""
+
+    @settings(max_examples=120, deadline=1000)
+    @given(invocations())
+    def test_main_over_generated_input(self, invocation):
+        argv, fmt, config, costly = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                path = os.path.join(tmp, "run.cfg")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(config) + "\n")
+                argv = [f"--config={path}"] + argv
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4)
+        if costly:
+            assert code == 2
+        if code == 2:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1
+        if out and fmt == "json":
+            json.loads(out)
